@@ -7,7 +7,7 @@
 
 #include <string>
 
-#include "analysis/characteristics.h"
+#include "analysis/table_cache.h"
 #include "capture/firewall.h"
 #include "ids/ruleset.h"
 #include "util/strings.h"
@@ -57,8 +57,7 @@ double malicious_fraction(const cw::core::ExperimentResult& result,
   std::uint64_t benign = 0;
   for (const auto id :
        result.deployment().with_collection(cw::topology::CollectionMethod::kGreyNoise)) {
-    const auto slice = cw::analysis::slice_vantage(result.store(), id, scope);
-    const auto [m, b] = cw::analysis::malicious_counts(slice, result.classifier());
+    const auto [m, b] = result.table_cache().malicious(id, scope);
     malicious += m;
     benign += b;
   }

@@ -23,7 +23,7 @@ struct Disagreement {
 
 Disagreement run(cw::analysis::TrafficScope scope, cw::analysis::Characteristic characteristic) {
   const auto& result = cw::bench::shared_experiment();
-  const auto& store = result.store();
+  const auto& cache = result.table_cache();
   const auto& deployment = result.deployment();
 
   std::vector<const cw::topology::VantagePoint*> regions;
@@ -45,16 +45,14 @@ Disagreement run(cw::analysis::TrafficScope scope, cw::analysis::Characteristic 
   options.family_size = pairs.size();
 
   for (const auto& [i, j] : pairs) {
-    const auto group_a = cw::analysis::slice_vantage(store, regions[i]->id, scope);
-    const auto group_b = cw::analysis::slice_vantage(store, regions[j]->id, scope);
-    const auto single_a = cw::analysis::slice_neighbor(store, regions[i]->id, 0, scope);
-    const auto single_b = cw::analysis::slice_neighbor(store, regions[j]->id, 0, scope);
-    if (group_a.records.size() < 10 || group_b.records.size() < 10) continue;
+    const cw::topology::VantageId a = regions[i]->id;
+    const cw::topology::VantageId b = regions[j]->id;
+    if (cache.record_count(a, scope) < 10 || cache.record_count(b, scope) < 10) continue;
 
-    const auto group_test = cw::analysis::compare_characteristic(
-        {group_a, group_b}, characteristic, &result.classifier(), options);
+    const auto group_test =
+        cw::analysis::compare_characteristic(cache, {{a}, {b}}, scope, characteristic, options);
     const auto single_test = cw::analysis::compare_characteristic(
-        {single_a, single_b}, characteristic, &result.classifier(), options);
+        cache, {{a, 0}, {b, 0}}, scope, characteristic, options);
     if (!group_test.chi.valid || !single_test.chi.valid) continue;
     ++out.pairs;
     out.group_significant += group_test.significant ? 1 : 0;

@@ -24,14 +24,14 @@ std::string render_ablation() {
       options.top_k = k;
       options.use_bonferroni = bonferroni;
       const auto as_summary = cw::analysis::analyze_neighborhoods(
-          result.store(), result.deployment(), cw::analysis::TrafficScope::kSsh22,
-          cw::analysis::Characteristic::kTopAs, result.classifier(), options);
+          result.table_cache(), cw::analysis::TrafficScope::kSsh22,
+          cw::analysis::Characteristic::kTopAs, options);
       const auto user_summary = cw::analysis::analyze_neighborhoods(
-          result.store(), result.deployment(), cw::analysis::TrafficScope::kSsh22,
-          cw::analysis::Characteristic::kTopUsername, result.classifier(), options);
+          result.table_cache(), cw::analysis::TrafficScope::kSsh22,
+          cw::analysis::Characteristic::kTopUsername, options);
       const auto payload_summary = cw::analysis::analyze_neighborhoods(
-          result.store(), result.deployment(), cw::analysis::TrafficScope::kHttp80,
-          cw::analysis::Characteristic::kTopPayload, result.classifier(), options);
+          result.table_cache(), cw::analysis::TrafficScope::kHttp80,
+          cw::analysis::Characteristic::kTopPayload, options);
       table.add_row({std::to_string(k), bonferroni ? "yes" : "no",
                      cw::util::format_double(as_summary.pct_different, 0) + "%",
                      cw::util::format_double(user_summary.pct_different, 0) + "%",

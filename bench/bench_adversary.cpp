@@ -36,7 +36,7 @@ cw::analysis::ClusterOptions cluster_options() {
 
 std::string render_report() {
   const auto& result = families_experiment();
-  const auto clustered = cw::analysis::cluster_attackers(result.frame(), cluster_options());
+  const auto clustered = cw::analysis::cluster_attackers(result.frames(), cluster_options());
 
   std::string out = "Ground-truth attacker clustering (distinct-fingerprint families)\n";
   out += "corpus records:  " + std::to_string(result.store().size()) + "\n";
@@ -55,10 +55,10 @@ std::string render_report() {
 void BM_ClusterAttackers(benchmark::State& state) {
   const auto& result = families_experiment();
   const auto options = cluster_options();
-  result.frame();  // exclude the one-time frame build from the timed region
+  // Exclude the one-time frame build from the timed region.
+  const auto frames = result.frames();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cw::analysis::cluster_attackers(result.frame(), options).scores.entities);
+    benchmark::DoNotOptimize(cw::analysis::cluster_attackers(frames, options).scores.entities);
   }
 }
 BENCHMARK(BM_ClusterAttackers)->Unit(benchmark::kMillisecond)->Iterations(3);

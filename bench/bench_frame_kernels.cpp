@@ -1,6 +1,5 @@
-// Benchmarks the SessionFrame v2 encoded kernels against their v1
-// equivalents: characteristic-table builds through the dictionary-encoded
-// columns (stats::FrequencyTable::from_codes) vs the v1 text scan,
+// Benchmarks the SessionFrame encoded kernels: characteristic-table builds
+// through the dictionary-encoded columns (stats::FrequencyTable::from_codes),
 // packed-posting-list iteration vs the plain index vector it replaced, and
 // epoch-seal latency cold (fresh dictionaries) vs warm (the steady state of
 // a live run, where the shared per-experiment dictionaries already carry
@@ -44,21 +43,7 @@ const std::vector<std::uint32_t>& all_records() {
   return records;
 }
 
-// The default frame carries the encoded characteristic columns.
 const capture::SessionFrame& encoded_frame() { return shared_experiment().frame(); }
-
-// The same projection with encoding disabled: table builds over it take the
-// v1 per-record text path (normalize/intern per record).
-const capture::SessionFrame& v1_frame() {
-  static const capture::SessionFrame frame = [] {
-    const core::ExperimentResult& e = shared_experiment();
-    e.store().freeze();
-    capture::SessionFrame::BuildOptions options;
-    options.encode_characteristics = false;
-    return capture::SessionFrame::build(e.store(), e.deployment(), std::move(options));
-  }();
-  return frame;
-}
 
 void bm_table_build_encoded(benchmark::State& state) {
   const analysis::Characteristic characteristic =
@@ -74,21 +59,6 @@ void bm_table_build_encoded(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * all_records().size()));
 }
 BENCHMARK(bm_table_build_encoded)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
-
-void bm_table_build_v1(benchmark::State& state) {
-  const analysis::Characteristic characteristic =
-      kCharacteristics[static_cast<std::size_t>(state.range(0))];
-  const capture::SessionFrame& frame = v1_frame();
-  const util::PostingView records(all_records());
-  for (auto _ : state) {
-    const stats::FrequencyTable table =
-        analysis::build_characteristic_table(frame, records, characteristic);
-    benchmark::DoNotOptimize(table.total());
-  }
-  state.SetLabel(characteristic_label(characteristic));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * all_records().size()));
-}
-BENCHMARK(bm_table_build_v1)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
 
 // Largest per-port posting list in the corpus, as the packed list and as
 // the v1 index vector. The frame hands out views, so the packed list is

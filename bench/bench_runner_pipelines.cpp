@@ -4,9 +4,9 @@
 // configuration. The printed artifact is the runner's own RunReport at
 // CW_JOBS workers — per-pipeline wall time, events, and output size.
 //
-// Also times the SessionFrame build itself and the frame-vs-full-scan cost
-// of the pipelines the frame was designed for (Tables 8/9/10), so the
-// columnar layer's payoff is a recorded number rather than a claim.
+// Also times the SessionFrame build itself and the pipelines the frame was
+// designed for (Tables 8/9 over the frame list, Table 10 over a cold table
+// cache).
 #include "bench_common.h"
 
 #include "agents/population.h"
@@ -55,96 +55,34 @@ const std::vector<capture::ActorId>& crawler_actors() {
   return actors;
 }
 
-void bm_table8_fullscan(benchmark::State& state) {
+void bm_table8(benchmark::State& state) {
   const core::ExperimentResult& e = shared_experiment();
-  e.store().freeze();
+  const auto frames = e.frames();
   for (auto _ : state) {
-    const auto rows = analysis::scanner_overlap(e.store(), e.deployment(),
-                                                net::popular_ports(), crawler_actors());
+    const auto rows = analysis::scanner_overlap(frames, net::popular_ports(), crawler_actors());
     benchmark::DoNotOptimize(rows.size());
   }
 }
-BENCHMARK(bm_table8_fullscan)->Unit(benchmark::kMillisecond);
-
-void bm_table8_frame(benchmark::State& state) {
-  const core::ExperimentResult& e = shared_experiment();
-  const capture::SessionFrame& frame = e.frame();
-  for (auto _ : state) {
-    const auto rows = analysis::scanner_overlap(frame, net::popular_ports(), crawler_actors());
-    benchmark::DoNotOptimize(rows.size());
-  }
-}
-BENCHMARK(bm_table8_frame)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_table8)->Unit(benchmark::kMillisecond);
 
 const std::vector<net::Port>& table9_ports() {
   static const std::vector<net::Port> ports = {23, 2323, 80, 8080, 2222, 22};
   return ports;
 }
 
-void bm_table9_fullscan(benchmark::State& state) {
+void bm_table9(benchmark::State& state) {
   const core::ExperimentResult& e = shared_experiment();
-  e.store().freeze();
+  const auto frames = e.frames();
   for (auto _ : state) {
-    const auto rows = analysis::attacker_overlap(e.store(), e.deployment(), e.classifier(),
-                                                 table9_ports(), crawler_actors());
+    const auto rows = analysis::attacker_overlap(frames, table9_ports(), crawler_actors());
     benchmark::DoNotOptimize(rows.size());
   }
 }
-BENCHMARK(bm_table9_fullscan)->Unit(benchmark::kMillisecond);
-
-void bm_table9_frame(benchmark::State& state) {
-  const core::ExperimentResult& e = shared_experiment();
-  const capture::SessionFrame& frame = e.frame();
-  for (auto _ : state) {
-    const auto rows = analysis::attacker_overlap(frame, table9_ports(), crawler_actors());
-    benchmark::DoNotOptimize(rows.size());
-  }
-}
-BENCHMARK(bm_table9_frame)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_table9)->Unit(benchmark::kMillisecond);
 
 constexpr analysis::TrafficScope kTable10Scopes[] = {
     analysis::TrafficScope::kSsh22, analysis::TrafficScope::kTelnet23,
     analysis::TrafficScope::kHttp80, analysis::TrafficScope::kAnyAll};
-
-void bm_table10_fullscan(benchmark::State& state) {
-  const core::ExperimentResult& e = shared_experiment();
-  e.store().freeze();
-  for (auto _ : state) {
-    std::size_t tested = 0;
-    for (const auto scope : kTable10Scopes) {
-      for (const bool edu : {true, false}) {
-        const auto pairs = edu ? analysis::telescope_edu_pairs(e.deployment())
-                               : analysis::telescope_cloud_pairs(e.deployment());
-        tested += analysis::compare_vantage_pairs(e.store(), e.deployment(), pairs, scope,
-                                                  analysis::Characteristic::kTopAs,
-                                                  e.classifier())
-                      .pairs_tested;
-      }
-    }
-    benchmark::DoNotOptimize(tested);
-  }
-}
-BENCHMARK(bm_table10_fullscan)->Unit(benchmark::kMillisecond);
-
-void bm_table10_frame(benchmark::State& state) {
-  const core::ExperimentResult& e = shared_experiment();
-  const capture::SessionFrame& frame = e.frame();
-  for (auto _ : state) {
-    std::size_t tested = 0;
-    for (const auto scope : kTable10Scopes) {
-      for (const bool edu : {true, false}) {
-        const auto pairs = edu ? analysis::telescope_edu_pairs(e.deployment())
-                               : analysis::telescope_cloud_pairs(e.deployment());
-        tested += analysis::compare_vantage_pairs(frame, pairs, scope,
-                                                  analysis::Characteristic::kTopAs,
-                                                  e.classifier())
-                      .pairs_tested;
-      }
-    }
-    benchmark::DoNotOptimize(tested);
-  }
-}
-BENCHMARK(bm_table10_frame)->Unit(benchmark::kMillisecond);
 
 // Cache-backed Table 10 with a COLD cache each iteration: measures what the
 // shared CharacteristicTableCache buys from cross-pair reuse alone (Orion's

@@ -45,15 +45,12 @@ std::string render_table14() {
       {cw::analysis::Characteristic::kFracMalicious, cw::analysis::TrafficScope::kHttpAllPorts},
   };
   for (const auto& [characteristic, scope] : rows) {
-    const auto c1 = cw::analysis::compare_vantage_pairs(r2020.store(), r2020.deployment(), cc,
-                                                        scope, characteristic,
-                                                        r2020.classifier());
-    const auto c2 = cw::analysis::compare_vantage_pairs(r2022.store(), r2022.deployment(), ce,
-                                                        scope, characteristic,
-                                                        r2022.classifier());
-    const auto c3 = cw::analysis::compare_vantage_pairs(r2022.store(), r2022.deployment(), ee,
-                                                        scope, characteristic,
-                                                        r2022.classifier());
+    const auto c1 =
+        cw::analysis::compare_vantage_pairs(r2020.table_cache(), cc, scope, characteristic);
+    const auto c2 =
+        cw::analysis::compare_vantage_pairs(r2022.table_cache(), ce, scope, characteristic);
+    const auto c3 =
+        cw::analysis::compare_vantage_pairs(r2022.table_cache(), ee, scope, characteristic);
     out += std::string(cw::analysis::characteristic_name(characteristic)) + " | " +
            std::string(cw::analysis::scope_name(scope)) + " | CC " + cell(c1) + " | CE " +
            cell(c2) + " | EE " + cell(c3) + "\n";

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "analysis/characteristics.h"
 #include "analysis/geography.h"
 #include "core/experiment.h"
 #include "core/tables.h"
@@ -35,12 +34,13 @@ int main(int argc, char** argv) {
   if (aws_au != static_cast<cw::topology::VantageId>(-1) &&
       aws_us != static_cast<cw::topology::VantageId>(-1)) {
     std::printf("=== Top Telnet usernames: AWS Australia vs AWS Oregon ===\n");
-    const auto au = cw::analysis::username_table(cw::analysis::slice_vantage(
-        result->store(), aws_au, cw::analysis::TrafficScope::kTelnet23));
-    const auto us = cw::analysis::username_table(cw::analysis::slice_vantage(
-        result->store(), aws_us, cw::analysis::TrafficScope::kTelnet23));
-    const auto au_top = au.sorted();
-    const auto us_top = us.sorted();
+    const auto& cache = result->table_cache();
+    const auto au_top = cache.table(aws_au, cw::analysis::TrafficScope::kTelnet23,
+                                    cw::analysis::Characteristic::kTopUsername)
+                            .sorted();
+    const auto us_top = cache.table(aws_us, cw::analysis::TrafficScope::kTelnet23,
+                                    cw::analysis::Characteristic::kTopUsername)
+                            .sorted();
     for (std::size_t i = 0; i < 5; ++i) {
       std::printf("  #%zu  AP-AU: %-16s US-OR: %s\n", i + 1,
                   i < au_top.size() ? au_top[i].first.c_str() : "-",

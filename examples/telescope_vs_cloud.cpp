@@ -7,9 +7,9 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "analysis/characteristics.h"
 #include "analysis/network.h"
 #include "analysis/overlap.h"
+#include "analysis/table_cache.h"
 #include "core/experiment.h"
 #include "core/tables.h"
 
@@ -34,18 +34,14 @@ int main(int argc, char** argv) {
   const auto cloud_ids = result->deployment().with_collection(
       cw::topology::CollectionMethod::kGreyNoise);
   if (!telescope_ids.empty() && !cloud_ids.empty()) {
-    const auto telescope_slice = cw::analysis::slice_vantage(
-        result->store(), telescope_ids.front(), cw::analysis::TrafficScope::kSsh22);
-    cw::analysis::TrafficSlice cloud_slice;
-    cloud_slice.store = &result->store();
-    for (const auto id : cloud_ids) {
-      const auto s = cw::analysis::slice_vantage(result->store(), id,
-                                                 cw::analysis::TrafficScope::kSsh22);
-      cloud_slice.records.insert(cloud_slice.records.end(), s.records.begin(), s.records.end());
-    }
+    const auto& cache = result->table_cache();
+    constexpr auto kScope = cw::analysis::TrafficScope::kSsh22;
+    constexpr auto kTopAs = cw::analysis::Characteristic::kTopAs;
+    cw::stats::FrequencyTable cloud;
+    for (const auto id : cloud_ids) cloud.merge(cache.table(id, kScope, kTopAs));
     std::printf("=== Top 5 SSH/22 scanning ASes, telescope vs cloud ===\n");
-    const auto telescope_top = cw::analysis::as_table(telescope_slice).sorted();
-    const auto cloud_top = cw::analysis::as_table(cloud_slice).sorted();
+    const auto telescope_top = cache.table(telescope_ids.front(), kScope, kTopAs).sorted();
+    const auto cloud_top = cloud.sorted();
     const auto registry = cw::net::AsRegistry::standard();
     auto resolve = [&](const std::string& key) {
       return registry.name_of(static_cast<cw::net::Asn>(std::atoi(key.c_str() + 2)));

@@ -2,7 +2,8 @@
 # Tier-1 verification gate plus the sanitizer configs, runnable locally and
 # from CI (.github/workflows/ci.yml calls each stage).
 #
-#   scripts/check.sh            # tier-1: configure + build + ctest
+#   scripts/check.sh            # tier-1: configure + build (no compiler warning
+#                               # allowed) + ctest
 #   scripts/check.sh asan       # -DCW_SANITIZE=address,undefined build + ctest
 #   scripts/check.sh tsan       # -DCW_SANITIZE=thread build + concurrency suites
 #   scripts/check.sh determinism# full_report byte-identical at --jobs 1/2/8
@@ -25,18 +26,90 @@
 #                               # campaign that dies under `ulimit -v` resident
 #                               # completes under the same cap with --spill-dir,
 #                               # byte-identical to the uncapped render
+#   scripts/check.sh golden [NAME [BIN_DIR]]
+#                               # rerun the scripts/goldens.txt lines named NAME
+#                               # (all lines without one) and compare stdout md5s
+#   scripts/check.sh testids    # every test binary lists the same test names
+#                               # twice, none carrying raw `object <...>` bytes
+#   scripts/check.sh reach      # every external function in the libcw_*.a
+#                               # libraries is reachable from full_report,
+#                               # cloudwatch_cli or live_report, or allowlisted
+#                               # with a reason in scripts/reach_allow.txt
 #   scripts/check.sh all        # tier-1 + asan + tsan + determinism + stream + serve
-#                               # + fleet + adversary + coldstore (stress stays
-#                               # opt-in: run it explicitly)
+#                               # + fleet + adversary + coldstore + testids + reach
+#                               # (stress stays opt-in: run it explicitly)
+#
+# Golden digests come from scripts/goldens.txt: a tier compares bytes when
+# the manifest pins its (command, scale, t24), and reports byte-identity
+# only otherwise.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="${CW_CHECK_JOBS:-$(nproc)}"
+GOLDENS="$ROOT/scripts/goldens.txt"
+
+# golden_md5 NAME SCALE T24: the manifest's md5 for that run, or nothing.
+golden_md5() {
+  awk -F'|' -v name="$1" -v scale="$2" -v t24="$3" '
+    /^[[:space:]]*(#|$)/ { next }
+    { for (i = 1; i <= NF; ++i) gsub(/^[[:space:]]+|[[:space:]]+$/, "", $i) }
+    $1 == name && $3 == scale && $4 == t24 { print $5; exit }' "$GOLDENS"
+}
+
+# compare_golden TIER NAME SCALE T24 FILE: fails when the manifest pins
+# (NAME, SCALE, T24) and FILE's md5 differs from it.
+compare_golden() {
+  local tier="$1" name="$2" scale="$3" t24="$4" file="$5" want got
+  want=$(golden_md5 "$name" "$scale" "$t24")
+  if [ -z "$want" ]; then
+    echo "$tier: no $name golden pinned at scale $scale, t24 $t24 (byte-identity only)"
+    return 0
+  fi
+  got=$(md5sum "$file" | cut -d' ' -f1)
+  if [ "$got" != "$want" ]; then
+    echo "$tier: $name stdout md5 $got != golden $want (scale $scale, t24 $t24)" >&2
+    return 1
+  fi
+  echo "$tier: $name stdout md5 matches golden $want (scale $scale, t24 $t24)"
+}
 
 tier1() {
   cmake -B "$ROOT/build" -S "$ROOT"
-  cmake --build "$ROOT/build" -j "$JOBS"
+  local log
+  log=$(mktemp)
+  cmake --build "$ROOT/build" -j "$JOBS" 2>&1 | tee "$log"
+  if grep -q "warning:" "$log"; then
+    echo "tier1: the build printed compiler warnings:" >&2
+    grep "warning:" "$log" >&2
+    rm -f "$log"
+    return 1
+  fi
+  rm -f "$log"
   ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS"
+}
+
+golden() {
+  # Reruns the manifest lines named $1 (every line when empty) with the
+  # binaries in $2 (default: the tier-1 build) and compares stdout md5s.
+  local only="$1" bin_dir="${2:-$ROOT/build/examples}"
+  local name cmd scale t24 md5 out checked=0
+  out=$(mktemp)
+  while IFS='|' read -r name cmd scale t24 md5; do
+    name=$(echo $name) cmd=$(echo $cmd) scale=$(echo $scale) t24=$(echo $t24)
+    case "$name" in ''|'#'*) continue ;; esac
+    [ -z "$only" ] || [ "$name" = "$only" ] || continue
+    cmd=${cmd//\{scale\}/$scale}
+    cmd=${cmd//\{t24\}/$t24}
+    # shellcheck disable=SC2086  # the command's words split on purpose
+    "$bin_dir"/$cmd >"$out" 2>/dev/null
+    compare_golden golden "$name" "$scale" "$t24" "$out" || { rm -f "$out"; return 1; }
+    checked=$((checked + 1))
+  done <"$GOLDENS"
+  rm -f "$out"
+  if [ "$checked" -eq 0 ]; then
+    echo "golden: no manifest line named '$only'" >&2
+    return 1
+  fi
 }
 
 asan() {
@@ -72,22 +145,15 @@ determinism() {
   local bin="$ROOT/build/examples/full_report"
   [ -x "$bin" ] || bin="$ROOT/build/full_report"
   local scale="${CW_CHECK_SCALE:-0.3}" t24="${CW_CHECK_T24:-16}"
-  local golden="${CW_CHECK_GOLDEN_MD5:-06bc684b63b54af2709cec936ccc1153}"
   local out1 out2 out8
   out1=$(mktemp) && out2=$(mktemp) && out8=$(mktemp)
   "$bin" --jobs 1 "$scale" "$t24" >"$out1" 2>/dev/null
   "$bin" --jobs 2 "$scale" "$t24" >"$out2" 2>/dev/null
   "$bin" --jobs 8 "$scale" "$t24" >"$out8" 2>/dev/null
   diff -q "$out1" "$out2" && diff -q "$out1" "$out8"
-  if [ "$scale" = "0.3" ] && [ "$t24" = "16" ] && [ -n "$golden" ]; then
-    local md5
-    md5=$(md5sum "$out1" | cut -d' ' -f1)
-    if [ "$md5" != "$golden" ]; then
-      echo "determinism: stdout md5 $md5 != golden $golden (scale 0.3, t24 16)" >&2
-      rm -f "$out1" "$out2" "$out8"
-      return 1
-    fi
-    echo "determinism: stdout md5 matches golden $golden"
+  if ! compare_golden determinism report "$scale" "$t24" "$out1"; then
+    rm -f "$out1" "$out2" "$out8"
+    return 1
   fi
   rm -f "$out1" "$out2" "$out8"
   echo "determinism: byte-identical at --jobs 1/2/8 (scale $scale, t24 $t24)"
@@ -106,7 +172,6 @@ stream() {
   local live="$ROOT/build/examples/live_report"
   [ -x "$live" ] || live="$ROOT/build/live_report"
   local scale="${CW_CHECK_SCALE:-0.3}" t24="${CW_CHECK_T24:-16}"
-  local golden="${CW_CHECK_GOLDEN_MD5:-06bc684b63b54af2709cec936ccc1153}"
   local batch_out live_out
   batch_out=$(mktemp) && live_out=$(mktemp)
   "$batch" --jobs 1 "$scale" "$t24" >"$batch_out" 2>/dev/null
@@ -121,15 +186,9 @@ stream() {
       return 1
     fi
   done
-  if [ "$scale" = "0.3" ] && [ "$t24" = "16" ] && [ -n "$golden" ]; then
-    local md5
-    md5=$(md5sum "$live_out" | cut -d' ' -f1)
-    if [ "$md5" != "$golden" ]; then
-      echo "stream: live stdout md5 $md5 != golden $golden (scale 0.3, t24 16)" >&2
-      rm -f "$batch_out" "$live_out"
-      return 1
-    fi
-    echo "stream: live stdout md5 matches golden $golden"
+  if ! compare_golden stream report "$scale" "$t24" "$live_out"; then
+    rm -f "$batch_out" "$live_out"
+    return 1
   fi
   rm -f "$batch_out" "$live_out"
   echo "stream: live == batch at epochs/shards/jobs 1/1/1, 3/4/2, 5/16/8 (scale $scale, t24 $t24)"
@@ -148,7 +207,6 @@ serve() {
   local batch="$ROOT/build/examples/full_report"
   [ -x "$batch" ] || batch="$ROOT/build/full_report"
   local scale="${CW_CHECK_SCALE:-0.3}" t24="${CW_CHECK_T24:-16}" epochs=3
-  local golden="${CW_CHECK_GOLDEN_MD5:-06bc684b63b54af2709cec936ccc1153}"
   local work
   work=$(mktemp -d)
   "$batch" --jobs 1 "$scale" "$t24" >"$work/batch.md" 2>/dev/null
@@ -185,15 +243,7 @@ serve() {
     echo "serve: served /epoch/$epochs/report diverged from batch full_report" >&2
     return 1
   fi
-  if [ "$scale" = "0.3" ] && [ "$t24" = "16" ] && [ -n "$golden" ]; then
-    local md5
-    md5=$(md5sum "$work/served.md" | cut -d' ' -f1)
-    if [ "$md5" != "$golden" ]; then
-      echo "serve: served report md5 $md5 != golden $golden (scale 0.3, t24 16)" >&2
-      return 1
-    fi
-    echo "serve: served report md5 matches golden $golden"
-  fi
+  compare_golden serve report "$scale" "$t24" "$work/served.md" || return 1
   # Spot-check the table and findings routes.
   curl -sf "http://127.0.0.1:$port/epoch/$epochs/table/table-1-vantage-points" \
     >"$work/table1.md"
@@ -247,7 +297,7 @@ bench() {
   local bin="$ROOT/build/bench/bench_runner_pipelines"
   [ -x "$bin" ] || bin="$ROOT/build/bench_runner_pipelines"
   CW_SCALE="${CW_SCALE:-0.5}" CW_T24="${CW_T24:-16}" CW_JOBS="${CW_JOBS:-1}" \
-    "$bin" --benchmark_filter='bm_frame_build|bm_table(8|9|10)_(fullscan|frame)' \
+    "$bin" --benchmark_filter='bm_frame_build|bm_table(8|9|10)' \
            --benchmark_min_time=0.5
   # The SessionFrame v2 kernels: encoded vs v1 table builds, packed posting
   # iteration, cold vs warm epoch seal.
@@ -287,6 +337,10 @@ fleet() {
         return 1
       fi
     done
+    if ! compare_golden fleet "sweep-$campaign" "$scale" "$t24" "$work/$campaign-j1.md"; then
+      rm -rf "$work"
+      return 1
+    fi
   done
   # Standalone rerun of one cell from each campaign vs its in-fleet file.
   "$cli" sweep ablation --scale "$scale" --t24 "$t24" --jobs 1 \
@@ -331,6 +385,10 @@ adversary() {
       rm -rf "$work"
       return 1
     fi
+    if ! compare_golden adversary "sweep-$campaign" "$scale" "$t24" "$work/$campaign-j1.md"; then
+      rm -rf "$work"
+      return 1
+    fi
   done
   # Standalone rerun of the clustering acceptance cell vs its in-fleet file.
   "$cli" sweep clustering --scale "$scale" --t24 "$t24" --jobs 1 \
@@ -358,6 +416,74 @@ adversary() {
   rm -rf "$work"
   echo "adversary: presets byte-identical at --jobs 1/8; standalone cell matches in-fleet;" \
        "clustering scores present in markdown and JSON (scale $scale, t24 $t24)"
+}
+
+testids() {
+  # A test's ID must be a pure function of the source: two listings of every
+  # test binary agree line for line, and no parameter prints as raw bytes
+  # (gtest's `N-byte object <..>` fallback shows pointers and padding, which
+  # move between runs). Each value-parameterized suite names its instances.
+  cmake --build "$ROOT/build" -j "$JOBS"
+  local work binary
+  work=$(mktemp -d)
+  for binary in "$ROOT"/build/tests/cw_*_test; do
+    "$binary" --gtest_list_tests >>"$work/first.txt"
+    "$binary" --gtest_list_tests >>"$work/second.txt"
+  done
+  if ! diff -q "$work/first.txt" "$work/second.txt" >/dev/null; then
+    echo "testids: two listings of the same test binaries differ:" >&2
+    diff "$work/first.txt" "$work/second.txt" >&2 || true
+    rm -rf "$work"
+    return 1
+  fi
+  if grep -n "object <" "$work/first.txt" >&2; then
+    echo "testids: the listing above prints raw parameter bytes (add a PrintTo)" >&2
+    rm -rf "$work"
+    return 1
+  fi
+  echo "testids: $(grep -c '^  ' "$work/first.txt") test IDs stable across two listings"
+  rm -rf "$work"
+}
+
+reach() {
+  # Dead-code gate: rebuild the three shipped binaries unoptimized with one
+  # section per function and --gc-sections, so the linker keeps exactly the
+  # functions something reaches. Every global text symbol of a libcw_*.a
+  # that none of them kept must be listed, with a reason, in
+  # scripts/reach_allow.txt; a listed symbol that is reached again (or no
+  # longer exists) fails too, so the list only shrinks.
+  local build="$ROOT/build-reach" allow="$ROOT/scripts/reach_allow.txt"
+  cmake -B "$build" -S "$ROOT" -DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS_DEBUG=-O0 \
+    -DCMAKE_CXX_FLAGS="-ffunction-sections -fdata-sections" \
+    -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections" >/dev/null
+  cmake --build "$build" -j "$JOBS" --target full_report cloudwatch_cli live_report >/dev/null
+  local work lib bin
+  work=$(mktemp -d)
+  for lib in "$build"/src/*/libcw_*.a; do
+    nm --defined-only -g "$lib" | awk '$2 == "T" { print $3 }'
+  done | sort -u >"$work/defined"
+  for bin in full_report cloudwatch_cli live_report; do
+    nm --defined-only "$build/examples/$bin" | awk '{ print $3 }'
+  done | sort -u >"$work/kept"
+  comm -23 "$work/defined" "$work/kept" | c++filt | sort -u >"$work/unreached"
+  grep -v '^#' "$allow" | grep -v '^$' | sed 's/  # .*//' | sort -u >"$work/allowed"
+  local status=0
+  if comm -23 "$work/unreached" "$work/allowed" | grep . >"$work/new"; then
+    echo "reach: unreachable from full_report, cloudwatch_cli and live_report, not in" \
+         "scripts/reach_allow.txt:" >&2
+    sed 's/^/  /' "$work/new" >&2
+    status=1
+  fi
+  if comm -13 "$work/unreached" "$work/allowed" | grep . >"$work/stale"; then
+    echo "reach: allowlisted but reachable again or gone (delete the lines):" >&2
+    sed 's/^/  /' "$work/stale" >&2
+    status=1
+  fi
+  [ "$status" -eq 0 ] &&
+    echo "reach: $(wc -l <"$work/unreached") library functions unreached by the shipped" \
+         "binaries, all allowlisted"
+  rm -rf "$work"
+  return "$status"
 }
 
 stress() {
@@ -420,7 +546,6 @@ coldstore() {
   local cli="$ROOT/build/examples/cloudwatch_cli"
   [ -x "$cli" ] || cli="$ROOT/build/cloudwatch_cli"
   local scale="${CW_CHECK_SCALE:-0.3}" t24="${CW_CHECK_T24:-16}"
-  local golden="${CW_CHECK_GOLDEN_MD5:-06bc684b63b54af2709cec936ccc1153}"
   local work
   work=$(mktemp -d)
   "$batch" --jobs 1 "$scale" "$t24" >"$work/batch.md" 2>/dev/null
@@ -440,15 +565,9 @@ coldstore() {
       fi
     done
   done
-  if [ "$scale" = "0.3" ] && [ "$t24" = "16" ] && [ -n "$golden" ]; then
-    local md5
-    md5=$(md5sum "$work/live.md" | cut -d' ' -f1)
-    if [ "$md5" != "$golden" ]; then
-      echo "coldstore: spilled stdout md5 $md5 != golden $golden (scale 0.3, t24 16)" >&2
-      rm -rf "$work"
-      return 1
-    fi
-    echo "coldstore: spilled stdout md5 matches golden $golden"
+  if ! compare_golden coldstore report "$scale" "$t24" "$work/live.md"; then
+    rm -rf "$work"
+    return 1
   fi
   echo "coldstore: spilled live == batch at --hot-segments 0/1/all x --jobs 1/8 (scale $scale, t24 $t24)"
 
@@ -500,6 +619,9 @@ case "${1:-tier1}" in
   adversary) adversary ;;
   stress) stress ;;
   coldstore) coldstore ;;
-  all) tier1; asan; tsan; determinism; stream; serve; fleet; adversary; coldstore ;;
-  *) echo "usage: scripts/check.sh [tier1|asan|tsan|determinism|stream|serve|bench|fleet|adversary|stress|coldstore|all]" >&2; exit 2 ;;
+  golden) golden "${2:-}" "${3:-}" ;;
+  testids) testids ;;
+  reach) reach ;;
+  all) tier1; asan; tsan; determinism; stream; serve; fleet; adversary; coldstore; testids; reach ;;
+  *) echo "usage: scripts/check.sh [tier1|asan|tsan|determinism|stream|serve|bench|fleet|adversary|stress|coldstore|golden [NAME [BIN_DIR]]|testids|reach|all]" >&2; exit 2 ;;
 esac

@@ -1,9 +1,6 @@
 #include "analysis/characteristics.h"
 
-#include <optional>
-#include <unordered_set>
-
-#include "proto/http.h"
+#include "proto/fingerprint.h"
 
 namespace cw::analysis {
 
@@ -29,22 +26,6 @@ std::string_view characteristic_name(Characteristic c) noexcept {
   return "?";
 }
 
-bool in_scope(const capture::SessionRecord& record, TrafficScope scope,
-              const capture::EventStore& store) {
-  switch (scope) {
-    case TrafficScope::kSsh22: return record.port == 22;
-    case TrafficScope::kTelnet23: return record.port == 23;
-    case TrafficScope::kHttp80: return record.port == 80;
-    case TrafficScope::kHttpAllPorts: {
-      if (record.payload_id == capture::kNoPayload) return false;
-      return proto::Fingerprinter::identify(store.payload(record.payload_id)) ==
-             net::Protocol::kHttp;
-    }
-    case TrafficScope::kAnyAll: return true;
-  }
-  return false;
-}
-
 bool in_scope(const capture::SessionFrame& frame, std::uint32_t index, TrafficScope scope) {
   switch (scope) {
     case TrafficScope::kSsh22: return frame.port(index) == 22;
@@ -61,19 +42,8 @@ bool in_scope(const capture::SessionFrame& frame, std::uint32_t index, TrafficSc
   return false;
 }
 
-TrafficSlice slice_vantage(const capture::EventStore& store, topology::VantageId vantage,
-                           TrafficScope scope) {
-  TrafficSlice slice;
-  slice.store = &store;
-  for (std::uint32_t index : store.for_vantage(vantage)) {
-    if (in_scope(store.records()[index], scope, store)) slice.records.push_back(index);
-  }
-  return slice;
-}
-
-// Port-named scopes resolve to one per-(vantage, port) posting list; the
-// list holds ascending record indices, exactly what the store-side filter
-// loop would produce.
+// Port-named scopes resolve to one per-(vantage, port) posting list, which
+// holds ascending record indices.
 std::optional<net::Port> scope_port(TrafficScope scope) noexcept {
   switch (scope) {
     case TrafficScope::kSsh22: return net::Port{22};
@@ -81,140 +51,6 @@ std::optional<net::Port> scope_port(TrafficScope scope) noexcept {
     case TrafficScope::kHttp80: return net::Port{80};
     default: return std::nullopt;
   }
-}
-
-TrafficSlice slice_vantage(const capture::SessionFrame& frame, topology::VantageId vantage,
-                           TrafficScope scope) {
-  TrafficSlice slice;
-  slice.store = frame.store_ptr();  // null for a mapped (spilled) frame
-  slice.frame = &frame;
-  if (const auto port = scope_port(scope)) {
-    slice.records = frame.for_vantage_port(vantage, *port).to_vector();
-    return slice;
-  }
-  if (scope == TrafficScope::kAnyAll) {
-    const std::span<const std::uint32_t> all = frame.for_vantage(vantage);
-    slice.records.assign(all.begin(), all.end());
-    return slice;
-  }
-  for (std::uint32_t index : frame.for_vantage(vantage)) {
-    if (in_scope(frame, index, scope)) slice.records.push_back(index);
-  }
-  return slice;
-}
-
-TrafficSlice slice_neighbor(const capture::EventStore& store, topology::VantageId vantage,
-                            std::uint16_t neighbor, TrafficScope scope) {
-  TrafficSlice slice;
-  slice.store = &store;
-  for (std::uint32_t index : store.for_vantage(vantage)) {
-    const capture::SessionRecord& record = store.records()[index];
-    if (record.neighbor != neighbor) continue;
-    if (in_scope(record, scope, store)) slice.records.push_back(index);
-  }
-  return slice;
-}
-
-TrafficSlice slice_neighbor(const capture::SessionFrame& frame, topology::VantageId vantage,
-                            std::uint16_t neighbor, TrafficScope scope) {
-  TrafficSlice slice;
-  slice.store = frame.store_ptr();  // null for a mapped (spilled) frame
-  slice.frame = &frame;
-  const auto port = scope_port(scope);
-  const util::PostingView candidates =
-      port ? util::PostingView(frame.for_vantage_port(vantage, *port))
-           : util::PostingView(frame.for_vantage(vantage));
-  candidates.for_each([&](std::uint32_t index) {
-    if (frame.neighbor(index) != neighbor) return;
-    if (port || in_scope(frame, index, scope)) slice.records.push_back(index);
-  });
-  return slice;
-}
-
-stats::FrequencyTable as_table(const capture::EventStore& store,
-                               const std::vector<std::uint32_t>& records, std::size_t begin,
-                               std::size_t end) {
-  stats::FrequencyTable table;
-  for (std::size_t i = begin; i < end; ++i) {
-    table.add("AS" + std::to_string(store.records()[records[i]].src_as));
-  }
-  return table;
-}
-
-stats::FrequencyTable username_table(const capture::EventStore& store,
-                                     const std::vector<std::uint32_t>& records, std::size_t begin,
-                                     std::size_t end) {
-  stats::FrequencyTable table;
-  for (std::size_t i = begin; i < end; ++i) {
-    const capture::SessionRecord& record = store.records()[records[i]];
-    if (record.credential_id == capture::kNoCredential) continue;
-    table.add(store.credential(record.credential_id).username);
-  }
-  return table;
-}
-
-stats::FrequencyTable password_table(const capture::EventStore& store,
-                                     const std::vector<std::uint32_t>& records, std::size_t begin,
-                                     std::size_t end) {
-  stats::FrequencyTable table;
-  for (std::size_t i = begin; i < end; ++i) {
-    const capture::SessionRecord& record = store.records()[records[i]];
-    if (record.credential_id == capture::kNoCredential) continue;
-    table.add(store.credential(record.credential_id).password);
-  }
-  return table;
-}
-
-stats::FrequencyTable payload_table(const capture::EventStore& store,
-                                    const std::vector<std::uint32_t>& records, std::size_t begin,
-                                    std::size_t end) {
-  stats::FrequencyTable table;
-  for (std::size_t i = begin; i < end; ++i) {
-    const capture::SessionRecord& record = store.records()[records[i]];
-    if (record.payload_id == capture::kNoPayload) continue;
-    table.add(proto::normalize_http_payload(store.payload(record.payload_id)));
-  }
-  return table;
-}
-
-stats::FrequencyTable as_table(const TrafficSlice& slice) {
-  return as_table(*slice.store, slice.records, 0, slice.records.size());
-}
-
-stats::FrequencyTable username_table(const TrafficSlice& slice) {
-  return username_table(*slice.store, slice.records, 0, slice.records.size());
-}
-
-stats::FrequencyTable password_table(const TrafficSlice& slice) {
-  return password_table(*slice.store, slice.records, 0, slice.records.size());
-}
-
-stats::FrequencyTable payload_table(const TrafficSlice& slice) {
-  return payload_table(*slice.store, slice.records, 0, slice.records.size());
-}
-
-std::pair<std::uint64_t, std::uint64_t> malicious_counts(const TrafficSlice& slice,
-                                                         const MaliciousClassifier& classifier) {
-  if (slice.frame != nullptr && slice.frame->has_verdicts()) {
-    return slice.frame->count_verdicts(slice.records);
-  }
-  return classifier.count(*slice.store, slice.records);
-}
-
-std::size_t unique_sources(const TrafficSlice& slice) {
-  std::unordered_set<std::uint32_t> sources;
-  for (std::uint32_t index : slice.records) {
-    sources.insert(slice.store->records()[index].src);
-  }
-  return sources.size();
-}
-
-std::size_t unique_ases(const TrafficSlice& slice) {
-  std::unordered_set<std::uint32_t> ases;
-  for (std::uint32_t index : slice.records) {
-    ases.insert(slice.store->records()[index].src_as);
-  }
-  return ases.size();
 }
 
 }  // namespace cw::analysis

@@ -1,21 +1,15 @@
-// Traffic-characteristic extraction (Section 3.3): the "who" (scanning
+// Traffic-characteristic vocabulary (Section 3.3): the "who" (scanning
 // ASes), "what" (top usernames, passwords, payloads) and "why" (fraction of
-// malicious traffic) of a slice of captured traffic. Slices select records
-// by vantage point, neighbor index, and protocol scope.
+// malicious traffic) of a slice of captured traffic, and the protocol scopes
+// a slice selects on. The slices themselves live in CharacteristicTableCache.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string_view>
-#include <vector>
 
-#include "analysis/malicious.h"
 #include "capture/frame.h"
-#include "capture/store.h"
-#include "net/asn.h"
-#include "proto/fingerprint.h"
-#include "stats/freq.h"
-#include "topology/deployment.h"
+#include "net/ports.h"
 
 namespace cw::analysis {
 
@@ -45,79 +39,13 @@ enum class Characteristic : std::uint8_t {
 
 std::string_view characteristic_name(Characteristic c) noexcept;
 
-// True if the record falls inside the scope. HTTP/AllPorts needs payload
-// access, hence the store parameter.
-bool in_scope(const capture::SessionRecord& record, TrafficScope scope,
-              const capture::EventStore& store);
-
-// Frame variant: HTTP/AllPorts reads the precomputed protocol column
-// instead of re-fingerprinting the payload.
+// True if frame record `index` falls inside the scope. HTTP/AllPorts reads
+// the precomputed protocol column instead of re-fingerprinting the payload.
 bool in_scope(const capture::SessionFrame& frame, std::uint32_t index, TrafficScope scope);
 
 // The destination port a port-named scope selects on, or nullopt for the
 // scopes that need payload inspection (HTTP/AllPorts) or select everything
 // (Any/All). Port-named scopes resolve to frame posting lists directly.
 std::optional<net::Port> scope_port(TrafficScope scope) noexcept;
-
-// A selected subset of a store's records. `frame` is set when the slice was
-// built from a SessionFrame; frame-aware consumers (malicious_counts) use
-// its precomputed columns, everything else reads through `store`.
-struct TrafficSlice {
-  const capture::EventStore* store = nullptr;
-  const capture::SessionFrame* frame = nullptr;
-  std::vector<std::uint32_t> records;
-
-  [[nodiscard]] bool empty() const noexcept { return records.empty(); }
-};
-
-// All records captured by one vantage point within a scope.
-TrafficSlice slice_vantage(const capture::EventStore& store, topology::VantageId vantage,
-                           TrafficScope scope);
-
-// Frame variant: port-named scopes select the per-(vantage, port) posting
-// list directly; no per-record scan at all.
-TrafficSlice slice_vantage(const capture::SessionFrame& frame, topology::VantageId vantage,
-                           TrafficScope scope);
-
-// Records captured by one neighbor (address) of a vantage point.
-TrafficSlice slice_neighbor(const capture::EventStore& store, topology::VantageId vantage,
-                            std::uint16_t neighbor, TrafficScope scope);
-TrafficSlice slice_neighbor(const capture::SessionFrame& frame, topology::VantageId vantage,
-                            std::uint16_t neighbor, TrafficScope scope);
-
-// Characteristic extraction. AS tables are keyed by ASN rendered as text so
-// they compose with the generic frequency machinery.
-stats::FrequencyTable as_table(const TrafficSlice& slice);
-stats::FrequencyTable username_table(const TrafficSlice& slice);
-stats::FrequencyTable password_table(const TrafficSlice& slice);
-
-// Payload table with ephemeral HTTP fields stripped (Section 3.3). Records
-// without payloads are skipped.
-stats::FrequencyTable payload_table(const TrafficSlice& slice);
-
-// Range variants over records[begin, end): the chunk primitives the
-// characteristic-table cache shards a single big build with (partials over
-// contiguous chunks, merged in chunk order). The slice forms above are the
-// begin=0, end=size() case.
-stats::FrequencyTable as_table(const capture::EventStore& store,
-                               const std::vector<std::uint32_t>& records, std::size_t begin,
-                               std::size_t end);
-stats::FrequencyTable username_table(const capture::EventStore& store,
-                                     const std::vector<std::uint32_t>& records, std::size_t begin,
-                                     std::size_t end);
-stats::FrequencyTable password_table(const capture::EventStore& store,
-                                     const std::vector<std::uint32_t>& records, std::size_t begin,
-                                     std::size_t end);
-stats::FrequencyTable payload_table(const capture::EventStore& store,
-                                    const std::vector<std::uint32_t>& records, std::size_t begin,
-                                    std::size_t end);
-
-// (malicious, benign) record counts per the Section 3.2 classifier.
-std::pair<std::uint64_t, std::uint64_t> malicious_counts(const TrafficSlice& slice,
-                                                         const MaliciousClassifier& classifier);
-
-// Unique source addresses / ASes in a slice (Table 1 columns).
-std::size_t unique_sources(const TrafficSlice& slice);
-std::size_t unique_ases(const TrafficSlice& slice);
 
 }  // namespace cw::analysis

@@ -45,13 +45,9 @@ struct Fingerprint {
 void scan_frame(const capture::SessionFrame& frame, const ClusterOptions& options,
                 std::unordered_map<std::uint32_t, Accumulator>& sources) {
   const bool use_verdicts = options.malicious_only && frame.has_verdicts();
-  const bool coded = frame.has_codes();
-  const auto users = coded ? frame.codes(capture::CodedColumn::kUsername)
-                           : std::span<const std::uint32_t>{};
-  const auto passwords = coded ? frame.codes(capture::CodedColumn::kPassword)
-                               : std::span<const std::uint32_t>{};
-  const auto payloads = coded ? frame.codes(capture::CodedColumn::kPayload)
-                              : std::span<const std::uint32_t>{};
+  const auto users = frame.codes(capture::CodedColumn::kUsername);
+  const auto passwords = frame.codes(capture::CodedColumn::kPassword);
+  const auto payloads = frame.codes(capture::CodedColumn::kPayload);
   const auto n = static_cast<std::uint32_t>(frame.size());
   for (std::uint32_t i = 0; i < n; ++i) {
     if (use_verdicts && frame.verdict(i) != capture::SessionFrame::Verdict::kMalicious) {
@@ -64,21 +60,9 @@ void scan_frame(const capture::SessionFrame& frame, const ClusterOptions& option
     Accumulator& acc = sources[frame.src(i)];
     ++acc.records;
     acc.ports.push_back(frame.port(i));
-    if (coded) {
-      if (users[i] != 0) acc.users.push_back(users[i]);
-      if (passwords[i] != 0) acc.passwords.push_back(passwords[i]);
-      if (payloads[i] != 0) acc.payloads.push_back(payloads[i]);
-    } else {
-      // Un-encoded frame (bare unit-test builds): raw store ids are still
-      // consistent within one run, which is all Jaccard needs.
-      if (frame.credential_id(i) != capture::kNoCredential) {
-        acc.users.push_back(frame.credential_id(i));
-        acc.passwords.push_back(frame.credential_id(i));
-      }
-      if (frame.payload_id(i) != capture::kNoPayload) {
-        acc.payloads.push_back(frame.payload_id(i));
-      }
-    }
+    if (users[i] != 0) acc.users.push_back(users[i]);
+    if (passwords[i] != 0) acc.passwords.push_back(passwords[i]);
+    if (payloads[i] != 0) acc.payloads.push_back(payloads[i]);
     acc.times.push_back(frame.time(i));
     ++acc.actors[actor];
   }
@@ -382,19 +366,12 @@ ClusterResult build_result(std::unordered_map<std::uint32_t, Accumulator>&& sour
 
 }  // namespace
 
-ClusterResult cluster_attackers(const capture::SessionFrame& frame,
-                                const ClusterOptions& options) {
-  std::unordered_map<std::uint32_t, Accumulator> sources;
-  scan_frame(frame, options, sources);
-  return build_result(std::move(sources), options);
-}
-
-ClusterResult cluster_attackers(const std::vector<const capture::SessionFrame*>& segments,
+ClusterResult cluster_attackers(const std::vector<const capture::SessionFrame*>& frames,
                                 const ClusterOptions& options, const SegmentPager& pager) {
   std::unordered_map<std::uint32_t, Accumulator> sources;
-  for (std::size_t s = 0; s < segments.size(); ++s) {
+  for (std::size_t s = 0; s < frames.size(); ++s) {
     if (pager) pager(s, true);
-    scan_frame(*segments[s], options, sources);
+    scan_frame(*frames[s], options, sources);
     if (pager) pager(s, false);
   }
   return build_result(std::move(sources), options);

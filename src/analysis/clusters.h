@@ -14,8 +14,8 @@
 // partition is scored against ground truth: purity and the Adjusted Rand
 // Index. The whole pipeline is single-threaded and order-independent over
 // the frame, so cluster assignments are byte-identical at any --jobs — and
-// the segmented overload folds spill-mode per-segment frames into the same
-// fingerprints the cumulative frame produces.
+// spill-mode per-segment frames fold into the same fingerprints the
+// cumulative frame produces.
 #pragma once
 
 #include <cstdint>
@@ -65,14 +65,11 @@ struct ClusterResult {
   ClusterScores scores;
 };
 
-ClusterResult cluster_attackers(const capture::SessionFrame& frame,
-                                const ClusterOptions& options = {});
-
-// Out-of-core variant: accumulates fingerprints segment by segment (the
-// spill runner's frames, paged in around each scan), then clusters the
-// merged set — identical output to the cumulative-frame overload over the
-// same records.
-ClusterResult cluster_attackers(const std::vector<const capture::SessionFrame*>& segments,
+// Accumulates fingerprints frame by frame (a batch corpus is the one-frame
+// list; a spilled one is its per-epoch segments, paged in around each scan),
+// then clusters the merged set, so the output does not depend on how the
+// corpus is cut.
+ClusterResult cluster_attackers(const std::vector<const capture::SessionFrame*>& frames,
                                 const ClusterOptions& options = {},
                                 const SegmentPager& pager = {});
 

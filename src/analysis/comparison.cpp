@@ -2,40 +2,10 @@
 
 namespace cw::analysis {
 
-stats::SignificanceTest compare_characteristic(const std::vector<TrafficSlice>& groups,
-                                               Characteristic characteristic,
-                                               const MaliciousClassifier* classifier,
-                                               const CompareOptions& options) {
-  if (characteristic == Characteristic::kFracMalicious) {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> rows;
-    rows.reserve(groups.size());
-    for (const TrafficSlice& slice : groups) {
-      rows.push_back(malicious_counts(slice, *classifier));
-    }
-    return stats::compare_binary(rows, options.alpha, options.family_size);
-  }
-
-  std::vector<stats::FrequencyTable> tables;
-  tables.reserve(groups.size());
-  for (const TrafficSlice& slice : groups) {
-    switch (characteristic) {
-      case Characteristic::kTopAs: tables.push_back(as_table(slice)); break;
-      case Characteristic::kTopUsername: tables.push_back(username_table(slice)); break;
-      case Characteristic::kTopPassword: tables.push_back(password_table(slice)); break;
-      case Characteristic::kTopPayload: tables.push_back(payload_table(slice)); break;
-      case Characteristic::kFracMalicious: break;  // handled above
-    }
-  }
-  std::vector<const stats::FrequencyTable*> pointers;
-  pointers.reserve(tables.size());
-  for (const stats::FrequencyTable& table : tables) pointers.push_back(&table);
-  return stats::compare_top_k(pointers, options.top_k, options.alpha, options.family_size);
-}
-
 stats::SignificanceTest compare_characteristic(
     const CharacteristicTableCache& cache,
     const std::vector<CharacteristicTableCache::SliceKey>& groups, TrafficScope scope,
-    Characteristic characteristic, const CompareOptions& options, runner::ThreadPool* pool) {
+    Characteristic characteristic, const CompareOptions& options) {
   if (characteristic == Characteristic::kFracMalicious) {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> rows;
     rows.reserve(groups.size());
@@ -48,7 +18,7 @@ stats::SignificanceTest compare_characteristic(
   std::vector<const stats::FrequencyTable*> pointers;
   pointers.reserve(groups.size());
   for (const CharacteristicTableCache::SliceKey& key : groups) {
-    pointers.push_back(&cache.table(key.vantage, scope, characteristic, pool, key.neighbor));
+    pointers.push_back(&cache.table(key.vantage, scope, characteristic, key.neighbor));
   }
   return stats::compare_top_k(pointers, options.top_k, options.alpha, options.family_size);
 }

@@ -11,10 +11,6 @@
 #include "analysis/table_cache.h"
 #include "stats/chi_squared.h"
 
-namespace cw::runner {
-class ThreadPool;
-}  // namespace cw::runner
-
 namespace cw::analysis {
 
 // Comparison parameters; k=3 is the paper's default (footnote 2).
@@ -24,24 +20,15 @@ struct CompareOptions {
   std::size_t family_size = 1;  // Bonferroni divisor
 };
 
-// Runs the recipe over the groups. For kFracMalicious, `classifier` must be
-// non-null; it is ignored otherwise.
-stats::SignificanceTest compare_characteristic(const std::vector<TrafficSlice>& groups,
-                                               Characteristic characteristic,
-                                               const MaliciousClassifier* classifier,
-                                               const CompareOptions& options);
-
-// Cache-backed variant: each group's table (or (malicious, benign) counts)
-// comes from the shared CharacteristicTableCache, so a side that appears in
-// many comparisons — Orion in five of Table 10's pairs per scope — is
-// materialized once and reused. Statistically identical to the slice form:
-// the cached tables hold the same counts the slices would produce, and the
-// groups enter compare_top_k / compare_binary in the same order.
+// Runs the recipe over the groups. Each group's table (or (malicious,
+// benign) counts) comes from the shared CharacteristicTableCache, so a side
+// that appears in many comparisons — Orion in five of Table 10's pairs per
+// scope — is materialized once and reused. Groups enter compare_top_k /
+// compare_binary in the order given.
 stats::SignificanceTest compare_characteristic(
     const CharacteristicTableCache& cache,
     const std::vector<CharacteristicTableCache::SliceKey>& groups, TrafficScope scope,
-    Characteristic characteristic, const CompareOptions& options,
-    runner::ThreadPool* pool = nullptr);
+    Characteristic characteristic, const CompareOptions& options);
 
 // Whether the characteristic is measurable on slices collected with the
 // given method within the given scope (Honeytrap extracts no credentials,

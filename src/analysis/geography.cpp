@@ -6,134 +6,8 @@
 namespace cw::analysis {
 namespace {
 
-// Shared pair enumeration: all distinct pairs of GreyNoise cloud vantage
-// points within the same provider that clear the minimum-sample bar.
-struct VantageSlices {
-  std::vector<const topology::VantagePoint*> points;
-  std::vector<TrafficSlice> slices;
-};
-
-// `slice_fn(vantage_id)` supplies the scoped slice — store scan or frame
-// posting list, depending on the caller.
-template <typename SliceFn>
-VantageSlices collect(const topology::Deployment& deployment, const GeoOptions& options,
-                      std::optional<topology::Provider> provider_filter,
-                      const SliceFn& slice_fn) {
-  VantageSlices out;
-  for (const topology::VantagePoint& vp : deployment.vantage_points()) {
-    if (vp.type != topology::NetworkType::kCloud ||
-        vp.collection != topology::CollectionMethod::kGreyNoise) {
-      continue;
-    }
-    if (provider_filter && vp.provider != *provider_filter) continue;
-    TrafficSlice slice = slice_fn(vp.id);
-    if (slice.records.size() < options.min_records) continue;
-    out.points.push_back(&vp);
-    out.slices.push_back(std::move(slice));
-  }
-  return out;
-}
-
-// The statistics below are written against `points` plus a pair-test
-// functor `test_fn(i, j, compare)` so the slice-based and cache-based entry
-// points share them verbatim — the functor is the only thing that differs.
-template <typename TestFn>
-GeoSimilarity geo_similarity_impl(const std::vector<const topology::VantagePoint*>& points,
-                                  Characteristic characteristic, const GeoOptions& options,
-                                  const TestFn& test_fn) {
-  GeoSimilarity result;
-  result.characteristic = characteristic;
-
-  // Pairs are always within one provider network so that network effects
-  // never masquerade as geographic ones.
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    for (std::size_t j = i + 1; j < points.size(); ++j) {
-      if (points[i]->provider != points[j]->provider) continue;
-      pairs.emplace_back(i, j);
-    }
-  }
-
-  CompareOptions compare;
-  compare.top_k = options.top_k;
-  compare.alpha = options.alpha;
-  compare.family_size = pairs.size() == 0 ? 1 : pairs.size();
-
-  for (const auto& [i, j] : pairs) {
-    const auto group = classify_pair(*points[i], *points[j]);
-    if (!group) continue;
-    const auto g = static_cast<std::size_t>(*group);
-    const stats::SignificanceTest test = test_fn(i, j, compare);
-    if (!test.chi.valid) continue;
-    ++result.tested[g];
-    if (!test.significant) ++result.similar[g];
-  }
-  return result;
-}
-
-template <typename TestFn>
-MostDifferentRegion most_different_region_impl(
-    const std::vector<const topology::VantagePoint*>& points, const GeoOptions& options,
-    const TestFn& test_fn) {
-  MostDifferentRegion result;
-  if (points.size() < 2) return result;
-
-  const std::size_t n = points.size();
-  const std::size_t pair_count = n * (n - 1) / 2;
-  CompareOptions compare;
-  compare.top_k = options.top_k;
-  compare.alpha = options.alpha;
-  compare.family_size = pair_count;
-
-  struct RegionScore {
-    std::size_t significant = 0;
-    double phi_sum = 0.0;
-    stats::EffectMagnitude strongest = stats::EffectMagnitude::kNone;
-  };
-  std::map<std::string, RegionScore> scores;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const stats::SignificanceTest test = test_fn(i, j, compare);
-      if (!test.chi.valid || !test.significant) continue;
-      for (const std::size_t k : {i, j}) {
-        RegionScore& score = scores[points[k]->region.code()];
-        ++score.significant;
-        score.phi_sum += test.chi.cramers_v;
-        score.strongest = std::max(score.strongest, test.magnitude);
-      }
-    }
-  }
-  if (scores.empty()) return result;
-
-  const auto best = std::max_element(
-      scores.begin(), scores.end(), [](const auto& a, const auto& b) {
-        if (a.second.significant != b.second.significant) {
-          return a.second.significant < b.second.significant;
-        }
-        return a.second.phi_sum < b.second.phi_sum;
-      });
-  result.any_significant = true;
-  result.region_code = best->first;
-  result.significant_pairs = best->second.significant;
-  result.avg_phi = best->second.phi_sum / static_cast<double>(best->second.significant);
-  result.magnitude = best->second.strongest;
-  return result;
-}
-
-// Pair-test functor over materialized slices (the store and frame entry
-// points). The returned lambda borrows `all`; callers keep it alive.
-auto slice_test(const VantageSlices& all, Characteristic characteristic,
-                const MaliciousClassifier& classifier) {
-  return [&all, characteristic, &classifier](std::size_t i, std::size_t j,
-                                             const CompareOptions& compare) {
-    return compare_characteristic({all.slices[i], all.slices[j]}, characteristic, &classifier,
-                                  compare);
-  };
-}
-
-// Cache counterpart of collect(): same vantage filter and order, but the
-// min-sample gate reads cache.record_count (no slices materialized here).
+// All GreyNoise cloud vantage points (optionally of one provider) that clear
+// the minimum-sample bar, in deployment order.
 std::vector<const topology::VantagePoint*> collect_points(
     const CharacteristicTableCache& cache, TrafficScope scope, const GeoOptions& options,
     std::optional<topology::Provider> provider_filter) {
@@ -148,16 +22,6 @@ std::vector<const topology::VantagePoint*> collect_points(
     points.push_back(&vp);
   }
   return points;
-}
-
-auto cache_test(const CharacteristicTableCache& cache,
-                const std::vector<const topology::VantagePoint*>& points, TrafficScope scope,
-                Characteristic characteristic) {
-  return [&cache, &points, scope, characteristic](std::size_t i, std::size_t j,
-                                                  const CompareOptions& compare) {
-    return compare_characteristic(cache, {{points[i]->id}, {points[j]->id}}, scope,
-                                  characteristic, compare);
-  };
 }
 
 }  // namespace
@@ -185,59 +49,39 @@ std::optional<PairGroup> classify_pair(const topology::VantagePoint& a,
   }
 }
 
-GeoSimilarity geo_similarity(const capture::EventStore& store,
-                             const topology::Deployment& deployment, TrafficScope scope,
-                             Characteristic characteristic,
-                             const MaliciousClassifier& classifier,
-                             const GeoOptions& options) {
-  const VantageSlices all =
-      collect(deployment, options, std::nullopt,
-              [&](topology::VantageId id) { return slice_vantage(store, id, scope); });
-  return geo_similarity_impl(all.points, characteristic, options,
-                             slice_test(all, characteristic, classifier));
-}
-
-GeoSimilarity geo_similarity(const capture::SessionFrame& frame, TrafficScope scope,
-                             Characteristic characteristic,
-                             const MaliciousClassifier& classifier, const GeoOptions& options) {
-  const VantageSlices all =
-      collect(frame.deployment(), options, std::nullopt,
-              [&](topology::VantageId id) { return slice_vantage(frame, id, scope); });
-  return geo_similarity_impl(all.points, characteristic, options,
-                             slice_test(all, characteristic, classifier));
-}
-
 GeoSimilarity geo_similarity(const CharacteristicTableCache& cache, TrafficScope scope,
                              Characteristic characteristic, const GeoOptions& options) {
   const std::vector<const topology::VantagePoint*> points =
       collect_points(cache, scope, options, std::nullopt);
-  return geo_similarity_impl(points, characteristic, options,
-                             cache_test(cache, points, scope, characteristic));
-}
+  GeoSimilarity result;
+  result.characteristic = characteristic;
 
-MostDifferentRegion most_different_region(const capture::EventStore& store,
-                                          const topology::Deployment& deployment,
-                                          topology::Provider provider, TrafficScope scope,
-                                          Characteristic characteristic,
-                                          const MaliciousClassifier& classifier,
-                                          const GeoOptions& options) {
-  const VantageSlices all =
-      collect(deployment, options, provider,
-              [&](topology::VantageId id) { return slice_vantage(store, id, scope); });
-  return most_different_region_impl(all.points, options,
-                                    slice_test(all, characteristic, classifier));
-}
+  // Pairs are always within one provider network so that network effects
+  // never masquerade as geographic ones.
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    for (std::size_t j = i + 1; j < points.size(); ++j) {
+      if (points[i]->provider != points[j]->provider) continue;
+      pairs.emplace_back(i, j);
+    }
+  }
 
-MostDifferentRegion most_different_region(const capture::SessionFrame& frame,
-                                          topology::Provider provider, TrafficScope scope,
-                                          Characteristic characteristic,
-                                          const MaliciousClassifier& classifier,
-                                          const GeoOptions& options) {
-  const VantageSlices all =
-      collect(frame.deployment(), options, provider,
-              [&](topology::VantageId id) { return slice_vantage(frame, id, scope); });
-  return most_different_region_impl(all.points, options,
-                                    slice_test(all, characteristic, classifier));
+  CompareOptions compare;
+  compare.top_k = options.top_k;
+  compare.alpha = options.alpha;
+  compare.family_size = pairs.size() == 0 ? 1 : pairs.size();
+
+  for (const auto& [i, j] : pairs) {
+    const auto group = classify_pair(*points[i], *points[j]);
+    if (!group) continue;
+    const auto g = static_cast<std::size_t>(*group);
+    const stats::SignificanceTest test = compare_characteristic(
+        cache, {{points[i]->id}, {points[j]->id}}, scope, characteristic, compare);
+    if (!test.chi.valid) continue;
+    ++result.tested[g];
+    if (!test.significant) ++result.similar[g];
+  }
+  return result;
 }
 
 MostDifferentRegion most_different_region(const CharacteristicTableCache& cache,
@@ -246,8 +90,51 @@ MostDifferentRegion most_different_region(const CharacteristicTableCache& cache,
                                           const GeoOptions& options) {
   const std::vector<const topology::VantagePoint*> points =
       collect_points(cache, scope, options, provider);
-  return most_different_region_impl(points, options,
-                                    cache_test(cache, points, scope, characteristic));
+  MostDifferentRegion result;
+  if (points.size() < 2) return result;
+
+  const std::size_t n = points.size();
+  const std::size_t pair_count = n * (n - 1) / 2;
+  CompareOptions compare;
+  compare.top_k = options.top_k;
+  compare.alpha = options.alpha;
+  compare.family_size = pair_count;
+
+  struct RegionScore {
+    std::size_t significant = 0;
+    double phi_sum = 0.0;
+    stats::EffectMagnitude strongest = stats::EffectMagnitude::kNone;
+  };
+  std::map<std::string, RegionScore> scores;
+
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const stats::SignificanceTest test = compare_characteristic(
+          cache, {{points[i]->id}, {points[j]->id}}, scope, characteristic, compare);
+      if (!test.chi.valid || !test.significant) continue;
+      for (const std::size_t k : {i, j}) {
+        RegionScore& score = scores[points[k]->region.code()];
+        ++score.significant;
+        score.phi_sum += test.chi.cramers_v;
+        score.strongest = std::max(score.strongest, test.magnitude);
+      }
+    }
+  }
+  if (scores.empty()) return result;
+
+  const auto best = std::max_element(
+      scores.begin(), scores.end(), [](const auto& a, const auto& b) {
+        if (a.second.significant != b.second.significant) {
+          return a.second.significant < b.second.significant;
+        }
+        return a.second.phi_sum < b.second.phi_sum;
+      });
+  result.any_significant = true;
+  result.region_code = best->first;
+  result.significant_pairs = best->second.significant;
+  result.avg_phi = best->second.phi_sum / static_cast<double>(best->second.significant);
+  result.magnitude = best->second.strongest;
+  return result;
 }
 
 }  // namespace cw::analysis

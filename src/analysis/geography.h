@@ -44,20 +44,9 @@ struct GeoSimilarity {
   }
 };
 
-GeoSimilarity geo_similarity(const capture::EventStore& store,
-                             const topology::Deployment& deployment, TrafficScope scope,
-                             Characteristic characteristic,
-                             const MaliciousClassifier& classifier, const GeoOptions& options = {});
-
-// Frame variant: slices come from the frame's per-(vantage, port) posting
-// lists instead of per-vantage scans.
-GeoSimilarity geo_similarity(const capture::SessionFrame& frame, TrafficScope scope,
-                             Characteristic characteristic,
-                             const MaliciousClassifier& classifier, const GeoOptions& options = {});
-
-// Cache variant: each vantage's table is built once in the shared cache and
-// reused across all C(n,2) pairs (and by any other analysis naming the same
-// (vantage, scope, characteristic) side).
+// Each vantage's table is built once in the shared cache and reused across
+// all C(n,2) pairs (and by any other analysis naming the same (vantage,
+// scope, characteristic) side).
 GeoSimilarity geo_similarity(const CharacteristicTableCache& cache, TrafficScope scope,
                              Characteristic characteristic, const GeoOptions& options = {});
 
@@ -70,19 +59,6 @@ struct MostDifferentRegion {
   stats::EffectMagnitude magnitude = stats::EffectMagnitude::kNone;
   std::size_t significant_pairs = 0;
 };
-
-MostDifferentRegion most_different_region(const capture::EventStore& store,
-                                          const topology::Deployment& deployment,
-                                          topology::Provider provider, TrafficScope scope,
-                                          Characteristic characteristic,
-                                          const MaliciousClassifier& classifier,
-                                          const GeoOptions& options = {});
-
-MostDifferentRegion most_different_region(const capture::SessionFrame& frame,
-                                          topology::Provider provider, TrafficScope scope,
-                                          Characteristic characteristic,
-                                          const MaliciousClassifier& classifier,
-                                          const GeoOptions& options = {});
 
 MostDifferentRegion most_different_region(const CharacteristicTableCache& cache,
                                           topology::Provider provider, TrafficScope scope,

@@ -18,85 +18,21 @@ std::vector<Characteristic> characteristics_for_scope(TrafficScope scope) {
   return {};
 }
 
-namespace {
-
-struct Candidate {
-  topology::VantageId vantage;
-  std::vector<TrafficSlice> neighbors;
-};
-
-// First pass shared by both variants: find the testable neighborhoods so
-// the Bonferroni family size equals the number of comparisons actually
-// performed. `slice_fn(vantage, neighbor)` supplies the neighbor slices.
-template <typename SliceFn>
-std::vector<Candidate> collect_candidates(const topology::Deployment& deployment,
-                                          const NeighborhoodOptions& options,
-                                          const SliceFn& slice_fn) {
-  std::vector<Candidate> candidates;
-  for (const topology::VantagePoint& vp : deployment.vantage_points()) {
-    if (vp.type != topology::NetworkType::kCloud ||
-        vp.collection != topology::CollectionMethod::kGreyNoise || vp.addresses.size() < 2) {
-      continue;
-    }
-    Candidate candidate;
-    candidate.vantage = vp.id;
-    std::size_t total_records = 0;
-    for (std::uint16_t n = 0; n < vp.addresses.size(); ++n) {
-      TrafficSlice slice = slice_fn(vp.id, n);
-      total_records += slice.records.size();
-      candidate.neighbors.push_back(std::move(slice));
-    }
-    if (total_records < options.min_records) continue;
-    candidates.push_back(std::move(candidate));
-  }
-  return candidates;
-}
-
-NeighborhoodSummary summarize_candidates(const std::vector<Candidate>& candidates,
-                                         Characteristic characteristic,
-                                         const MaliciousClassifier& classifier,
-                                         const NeighborhoodOptions& options);
-
-}  // namespace
-
-NeighborhoodSummary analyze_neighborhoods(const capture::EventStore& store,
-                                          const topology::Deployment& deployment,
-                                          TrafficScope scope, Characteristic characteristic,
-                                          const MaliciousClassifier& classifier,
-                                          const NeighborhoodOptions& options) {
-  const std::vector<Candidate> candidates = collect_candidates(
-      deployment, options, [&](topology::VantageId vantage, std::uint16_t neighbor) {
-        return slice_neighbor(store, vantage, neighbor, scope);
-      });
-  return summarize_candidates(candidates, characteristic, classifier, options);
-}
-
-NeighborhoodSummary analyze_neighborhoods(const capture::SessionFrame& frame, TrafficScope scope,
-                                          Characteristic characteristic,
-                                          const MaliciousClassifier& classifier,
-                                          const NeighborhoodOptions& options) {
-  const std::vector<Candidate> candidates = collect_candidates(
-      frame.deployment(), options, [&](topology::VantageId vantage, std::uint16_t neighbor) {
-        return slice_neighbor(frame, vantage, neighbor, scope);
-      });
-  return summarize_candidates(candidates, characteristic, classifier, options);
-}
-
 NeighborhoodSummary analyze_neighborhoods(const CharacteristicTableCache& cache,
                                           TrafficScope scope, Characteristic characteristic,
                                           const NeighborhoodOptions& options) {
-  // Same candidate walk as collect_candidates, but sizing slices through
-  // the cache (which memoizes them) instead of materializing them here.
-  struct CachedCandidate {
+  // First pass: find the testable neighborhoods, so the Bonferroni family
+  // size equals the number of comparisons actually performed.
+  struct Candidate {
     std::vector<CharacteristicTableCache::SliceKey> neighbors;
   };
-  std::vector<CachedCandidate> candidates;
+  std::vector<Candidate> candidates;
   for (const topology::VantagePoint& vp : cache.frame().deployment().vantage_points()) {
     if (vp.type != topology::NetworkType::kCloud ||
         vp.collection != topology::CollectionMethod::kGreyNoise || vp.addresses.size() < 2) {
       continue;
     }
-    CachedCandidate candidate;
+    Candidate candidate;
     std::size_t total_records = 0;
     for (std::uint16_t n = 0; n < vp.addresses.size(); ++n) {
       total_records += cache.record_count(vp.id, scope, n);
@@ -118,7 +54,7 @@ NeighborhoodSummary analyze_neighborhoods(const CharacteristicTableCache& cache,
 
   double phi_sum = 0.0;
   std::size_t magnitude_votes[4] = {0, 0, 0, 0};
-  for (const CachedCandidate& candidate : candidates) {
+  for (const Candidate& candidate : candidates) {
     const stats::SignificanceTest test =
         compare_characteristic(cache, candidate.neighbors, scope, characteristic, compare);
     if (!test.chi.valid || !test.significant) continue;
@@ -140,45 +76,4 @@ NeighborhoodSummary analyze_neighborhoods(const CharacteristicTableCache& cache,
   return summary;
 }
 
-namespace {
-
-NeighborhoodSummary summarize_candidates(const std::vector<Candidate>& candidates,
-                                         Characteristic characteristic,
-                                         const MaliciousClassifier& classifier,
-                                         const NeighborhoodOptions& options) {
-  NeighborhoodSummary summary;
-  summary.characteristic = characteristic;
-  summary.neighborhoods_tested = candidates.size();
-  if (candidates.empty()) return summary;
-
-  CompareOptions compare;
-  compare.top_k = options.top_k;
-  compare.alpha = options.alpha;
-  compare.family_size = options.use_bonferroni ? candidates.size() : 1;
-
-  double phi_sum = 0.0;
-  std::size_t magnitude_votes[4] = {0, 0, 0, 0};
-  for (const Candidate& candidate : candidates) {
-    const stats::SignificanceTest test =
-        compare_characteristic(candidate.neighbors, characteristic, &classifier, compare);
-    if (!test.chi.valid || !test.significant) continue;
-    ++summary.neighborhoods_different;
-    phi_sum += test.chi.cramers_v;
-    ++magnitude_votes[static_cast<std::size_t>(test.magnitude)];
-  }
-
-  summary.pct_different = 100.0 * static_cast<double>(summary.neighborhoods_different) /
-                          static_cast<double>(summary.neighborhoods_tested);
-  if (summary.neighborhoods_different > 0) {
-    summary.avg_phi = phi_sum / static_cast<double>(summary.neighborhoods_different);
-    std::size_t best = 0;
-    for (std::size_t m = 1; m < 4; ++m) {
-      if (magnitude_votes[m] >= magnitude_votes[best]) best = m;
-    }
-    summary.typical_magnitude = static_cast<stats::EffectMagnitude>(best);
-  }
-  return summary;
-}
-
-}  // namespace
 }  // namespace cw::analysis

@@ -32,25 +32,10 @@ struct NeighborhoodOptions {
 };
 
 // Runs the analysis over every GreyNoise cloud vantage point with >= 2
-// addresses, for one scope and characteristic.
-NeighborhoodSummary analyze_neighborhoods(const capture::EventStore& store,
-                                          const topology::Deployment& deployment,
-                                          TrafficScope scope, Characteristic characteristic,
-                                          const MaliciousClassifier& classifier,
-                                          const NeighborhoodOptions& options = {});
-
-// Frame variant: neighbor slices come from the frame's posting lists and
-// the malicious fraction reads the precomputed verdict column.
-NeighborhoodSummary analyze_neighborhoods(const capture::SessionFrame& frame, TrafficScope scope,
-                                          Characteristic characteristic,
-                                          const MaliciousClassifier& classifier,
-                                          const NeighborhoodOptions& options = {});
-
-// Cache variant: Table 2 runs this once per characteristic over the same
-// scope, and each run re-slices the same neighborhoods; the cache memoizes
-// the per-neighbor slices (and their tables) across those runs. Candidate
-// selection and group order match the slice variants exactly — every
-// neighbor of a qualifying vantage is a group, empty ones included.
+// addresses, for one scope and characteristic. Table 2 runs this once per
+// characteristic over the same scope; the cache memoizes the per-neighbor
+// slices (and their tables) across those runs. Every neighbor of a
+// qualifying vantage is a group, empty ones included.
 NeighborhoodSummary analyze_neighborhoods(const CharacteristicTableCache& cache,
                                           TrafficScope scope, Characteristic characteristic,
                                           const NeighborhoodOptions& options = {});

@@ -7,124 +7,6 @@
 namespace cw::analysis {
 
 NetworkComparison compare_vantage_pairs(
-    const capture::EventStore& store, const topology::Deployment& deployment,
-    const std::vector<std::pair<topology::VantageId, topology::VantageId>>& pairs,
-    TrafficScope scope, Characteristic characteristic, const MaliciousClassifier& classifier,
-    const NetworkOptions& options) {
-  NetworkComparison result;
-  result.scope = scope;
-  result.characteristic = characteristic;
-
-  // A characteristic must be measurable at *both* endpoints.
-  for (const auto& [a, b] : pairs) {
-    if (!measurable(characteristic, deployment.at(a).collection, scope) ||
-        !measurable(characteristic, deployment.at(b).collection, scope)) {
-      result.measurable = false;
-      return result;
-    }
-  }
-
-  CompareOptions compare;
-  compare.top_k = options.top_k;
-  compare.alpha = options.alpha;
-  compare.family_size = std::max<std::size_t>(pairs.size(), 1) * options.family_scale;
-
-  double phi_sum = 0.0;
-  for (const auto& [a, b] : pairs) {
-    TrafficSlice slice_a = slice_vantage(store, a, scope);
-    TrafficSlice slice_b = slice_vantage(store, b, scope);
-    if (slice_a.records.size() < options.min_records ||
-        slice_b.records.size() < options.min_records) {
-      continue;
-    }
-    const stats::SignificanceTest test =
-        compare_characteristic({slice_a, slice_b}, characteristic, &classifier, compare);
-    if (!test.chi.valid) continue;
-    ++result.pairs_tested;
-    if (!test.significant) continue;
-    ++result.pairs_different;
-    phi_sum += test.chi.cramers_v;
-    result.strongest = std::max(result.strongest, test.magnitude);
-  }
-  if (result.pairs_different > 0) {
-    result.avg_phi = phi_sum / static_cast<double>(result.pairs_different);
-  }
-  return result;
-}
-
-NetworkComparison compare_vantage_pairs(
-    const capture::SessionFrame& frame,
-    const std::vector<std::pair<topology::VantageId, topology::VantageId>>& pairs,
-    TrafficScope scope, Characteristic characteristic, const MaliciousClassifier& classifier,
-    const NetworkOptions& options, runner::ThreadPool* pool) {
-  NetworkComparison result;
-  result.scope = scope;
-  result.characteristic = characteristic;
-
-  // A characteristic must be measurable at *both* endpoints.
-  for (const auto& [a, b] : pairs) {
-    if (!measurable(characteristic, frame.collection_of(a), scope) ||
-        !measurable(characteristic, frame.collection_of(b), scope)) {
-      result.measurable = false;
-      return result;
-    }
-  }
-
-  CompareOptions compare;
-  compare.top_k = options.top_k;
-  compare.alpha = options.alpha;
-  compare.family_size = std::max<std::size_t>(pairs.size(), 1) * options.family_scale;
-
-  // Each pair is an independent shard writing its own slot; the reduction
-  // below walks the slots in pair order, so phi_sum accumulates in the same
-  // float order (and the result is bit-identical) at any worker count.
-  struct PairOutcome {
-    bool counted = false;
-    bool different = false;
-    double phi = 0.0;
-    stats::EffectMagnitude magnitude = stats::EffectMagnitude::kNone;
-  };
-  std::vector<PairOutcome> outcomes(pairs.size());
-  const auto evaluate_pair = [&](std::size_t p) {
-    const auto& [a, b] = pairs[p];
-    TrafficSlice slice_a = slice_vantage(frame, a, scope);
-    TrafficSlice slice_b = slice_vantage(frame, b, scope);
-    if (slice_a.records.size() < options.min_records ||
-        slice_b.records.size() < options.min_records) {
-      return;
-    }
-    const stats::SignificanceTest test =
-        compare_characteristic({slice_a, slice_b}, characteristic, &classifier, compare);
-    if (!test.chi.valid) return;
-    PairOutcome& outcome = outcomes[p];
-    outcome.counted = true;
-    if (!test.significant) return;
-    outcome.different = true;
-    outcome.phi = test.chi.cramers_v;
-    outcome.magnitude = test.magnitude;
-  };
-  if (pool != nullptr && pairs.size() > 1) {
-    pool->parallel_for(pairs.size(), evaluate_pair);
-  } else {
-    for (std::size_t p = 0; p < pairs.size(); ++p) evaluate_pair(p);
-  }
-
-  double phi_sum = 0.0;
-  for (const PairOutcome& outcome : outcomes) {
-    if (!outcome.counted) continue;
-    ++result.pairs_tested;
-    if (!outcome.different) continue;
-    ++result.pairs_different;
-    phi_sum += outcome.phi;
-    result.strongest = std::max(result.strongest, outcome.magnitude);
-  }
-  if (result.pairs_different > 0) {
-    result.avg_phi = phi_sum / static_cast<double>(result.pairs_different);
-  }
-  return result;
-}
-
-NetworkComparison compare_vantage_pairs(
     const CharacteristicTableCache& cache,
     const std::vector<std::pair<topology::VantageId, topology::VantageId>>& pairs,
     TrafficScope scope, Characteristic characteristic, const NetworkOptions& options,
@@ -148,9 +30,10 @@ NetworkComparison compare_vantage_pairs(
   compare.alpha = options.alpha;
   compare.family_size = std::max<std::size_t>(pairs.size(), 1) * options.family_scale;
 
-  // Same shard-per-pair / reduce-in-pair-order scheme as the frame variant;
-  // here concurrent shards that share a side block on the cache's one
-  // builder instead of each slicing and counting the side themselves.
+  // Each pair is an independent shard writing its own slot; the reduction
+  // below walks the slots in pair order, so phi_sum accumulates in the same
+  // float order (and the result is bit-identical) at any worker count.
+  // Concurrent shards that share a side block on the cache's one builder.
   struct PairOutcome {
     bool counted = false;
     bool different = false;
@@ -165,7 +48,7 @@ NetworkComparison compare_vantage_pairs(
       return;
     }
     const stats::SignificanceTest test =
-        compare_characteristic(cache, {{a}, {b}}, scope, characteristic, compare, pool);
+        compare_characteristic(cache, {{a}, {b}}, scope, characteristic, compare);
     if (!test.chi.valid) return;
     PairOutcome& outcome = outcomes[p];
     outcome.counted = true;

@@ -36,28 +36,14 @@ struct NetworkComparison {
   stats::EffectMagnitude strongest = stats::EffectMagnitude::kNone;
 };
 
-// Generic pairwise driver used by all the comparisons below.
-NetworkComparison compare_vantage_pairs(
-    const capture::EventStore& store, const topology::Deployment& deployment,
-    const std::vector<std::pair<topology::VantageId, topology::VantageId>>& pairs,
-    TrafficScope scope, Characteristic characteristic, const MaliciousClassifier& classifier,
-    const NetworkOptions& options = {});
-
-// Frame variant. When `pool` is non-null each pair's slicing and test run
-// as an independent shard (nest-safe inside a pipeline task); results land
-// in per-pair slots and are reduced in pair order, so the phi accumulation
-// and the report bytes are identical at any worker count.
-NetworkComparison compare_vantage_pairs(
-    const capture::SessionFrame& frame,
-    const std::vector<std::pair<topology::VantageId, topology::VantageId>>& pairs,
-    TrafficScope scope, Characteristic characteristic, const MaliciousClassifier& classifier,
-    const NetworkOptions& options = {}, runner::ThreadPool* pool = nullptr);
-
-// Cache variant: sides are fetched from (and memoized in) the shared
-// CharacteristicTableCache, so a vantage appearing in several pairs — or in
-// a different characteristic's pass over the same pair list — builds its
-// table once. Same per-pair sharding and pair-order reduction as the frame
-// variant; output is byte-identical to it.
+// Generic pairwise driver used by all the comparisons below. Sides are
+// fetched from (and memoized in) the shared CharacteristicTableCache, so a
+// vantage appearing in several pairs — or in a different characteristic's
+// pass over the same pair list — builds its table once. When `pool` is
+// non-null each pair's test runs as an independent shard (nest-safe inside
+// a pipeline task); results land in per-pair slots and are reduced in pair
+// order, so the phi accumulation and the report bytes are identical at any
+// worker count.
 NetworkComparison compare_vantage_pairs(
     const CharacteristicTableCache& cache,
     const std::vector<std::pair<topology::VantageId, topology::VantageId>>& pairs,

@@ -8,9 +8,6 @@
 namespace cw::analysis {
 namespace {
 
-using IpSet = std::unordered_set<std::uint32_t>;
-using PortSets = std::unordered_map<net::Port, IpSet>;
-
 double intersection_fraction(const IpSet& numerator_side, const IpSet& denominator) {
   if (denominator.empty()) return 0.0;
   std::size_t shared = 0;
@@ -32,10 +29,12 @@ const IpSet& port_set(const PortSets& sets, net::Port port) {
   return it != sets.end() ? it->second : kEmpty;
 }
 
-bool port_flag(const std::unordered_map<net::Port, bool>& flags, net::Port port) {
+bool port_flag(const PortFlags& flags, net::Port port) {
   const auto it = flags.find(port);
   return it != flags.end() && it->second;
 }
+
+}  // namespace
 
 std::vector<OverlapRow> scanner_rows(const std::vector<net::Port>& ports, const PortSets& cloud,
                                      const PortSets& edu, const PortSets& telescope) {
@@ -62,8 +61,7 @@ std::vector<OverlapRow> scanner_rows(const std::vector<net::Port>& ports, const 
 std::vector<MaliciousOverlapRow> attacker_rows(
     const std::vector<net::Port>& ports, const PortSets& malicious_cloud,
     const PortSets& malicious_edu, const PortSets& telescope,
-    const std::unordered_map<net::Port, bool>& cloud_measurable,
-    const std::unordered_map<net::Port, bool>& edu_measurable) {
+    const PortFlags& cloud_measurable, const PortFlags& edu_measurable) {
   std::vector<MaliciousOverlapRow> rows;
   for (net::Port port : ports) {
     MaliciousOverlapRow row;
@@ -84,38 +82,11 @@ std::vector<MaliciousOverlapRow> attacker_rows(
   return rows;
 }
 
-}  // namespace
-
-std::vector<OverlapRow> scanner_overlap(const capture::EventStore& store,
-                                        const topology::Deployment& deployment,
-                                        const std::vector<net::Port>& ports,
-                                        const std::vector<capture::ActorId>& exclude_actors) {
-  const std::unordered_set<capture::ActorId> excluded(exclude_actors.begin(),
-                                                      exclude_actors.end());
-  // One pass: per (port, network type) source sets.
-  PortSets cloud;
-  PortSets edu;
-  PortSets telescope;
-  std::unordered_set<net::Port> wanted(ports.begin(), ports.end());
-
-  for (const capture::SessionRecord& record : store.records()) {
-    if (!wanted.contains(record.port)) continue;
-    if (excluded.contains(record.actor)) continue;
-    switch (deployment.at(record.vantage).type) {
-      case topology::NetworkType::kCloud: cloud[record.port].insert(record.src); break;
-      case topology::NetworkType::kEducation: edu[record.port].insert(record.src); break;
-      case topology::NetworkType::kTelescope: telescope[record.port].insert(record.src); break;
-    }
-  }
-  return scanner_rows(ports, cloud, edu, telescope);
-}
-
 namespace {
 
-// Shared accumulation pass of the frame-backed scanner overlap: one frame's
-// per-port posting lists folded into the (port, network type) source sets.
-// The segmented variant calls this once per segment; union into shared sets
-// is exactly the single-frame scan of the concatenated corpus.
+// One frame's per-port posting lists folded into the (port, network type)
+// source sets; union into shared sets is exactly the scan of the
+// concatenated corpus.
 void accumulate_scanner(const capture::SessionFrame& frame, const std::vector<net::Port>& ports,
                         const std::unordered_set<capture::ActorId>& excluded, PortSets& cloud,
                         PortSets& edu, PortSets& telescope) {
@@ -134,18 +105,6 @@ void accumulate_scanner(const capture::SessionFrame& frame, const std::vector<ne
 
 }  // namespace
 
-std::vector<OverlapRow> scanner_overlap(const capture::SessionFrame& frame,
-                                        const std::vector<net::Port>& ports,
-                                        const std::vector<capture::ActorId>& exclude_actors) {
-  const std::unordered_set<capture::ActorId> excluded(exclude_actors.begin(),
-                                                      exclude_actors.end());
-  PortSets cloud;
-  PortSets edu;
-  PortSets telescope;
-  accumulate_scanner(frame, ports, excluded, cloud, edu, telescope);
-  return scanner_rows(ports, cloud, edu, telescope);
-}
-
 std::vector<OverlapRow> scanner_overlap(const std::vector<const capture::SessionFrame*>& frames,
                                         const std::vector<net::Port>& ports,
                                         const std::vector<capture::ActorId>& exclude_actors,
@@ -163,50 +122,12 @@ std::vector<OverlapRow> scanner_overlap(const std::vector<const capture::Session
   return scanner_rows(ports, cloud, edu, telescope);
 }
 
-std::vector<MaliciousOverlapRow> attacker_overlap(
-    const capture::EventStore& store, const topology::Deployment& deployment,
-    const MaliciousClassifier& classifier, const std::vector<net::Port>& ports,
-    const std::vector<capture::ActorId>& exclude_actors) {
-  const std::unordered_set<capture::ActorId> excluded(exclude_actors.begin(),
-                                                      exclude_actors.end());
-  PortSets malicious_cloud;
-  PortSets malicious_edu;
-  PortSets telescope;
-  // Whether any cloud/EDU vantage could measure intent on this port at all;
-  // if not, the table cell is an "x".
-  std::unordered_map<net::Port, bool> cloud_measurable;
-  std::unordered_map<net::Port, bool> edu_measurable;
-  std::unordered_set<net::Port> wanted(ports.begin(), ports.end());
-
-  for (const capture::SessionRecord& record : store.records()) {
-    if (!wanted.contains(record.port)) continue;
-    if (excluded.contains(record.actor)) continue;
-    const topology::NetworkType type = deployment.at(record.vantage).type;
-    if (type == topology::NetworkType::kTelescope) {
-      telescope[record.port].insert(record.src);
-      continue;
-    }
-    const MeasuredIntent intent = classifier.classify(record, store);
-    const bool observable = intent != MeasuredIntent::kUnobservable;
-    if (type == topology::NetworkType::kCloud) {
-      cloud_measurable[record.port] = cloud_measurable[record.port] || observable;
-      if (intent == MeasuredIntent::kMalicious) malicious_cloud[record.port].insert(record.src);
-    } else {
-      edu_measurable[record.port] = edu_measurable[record.port] || observable;
-      if (intent == MeasuredIntent::kMalicious) malicious_edu[record.port].insert(record.src);
-    }
-  }
-  return attacker_rows(ports, malicious_cloud, malicious_edu, telescope, cloud_measurable,
-                       edu_measurable);
-}
-
 namespace {
 
 void accumulate_attacker(const capture::SessionFrame& frame, const std::vector<net::Port>& ports,
                          const std::unordered_set<capture::ActorId>& excluded,
                          PortSets& malicious_cloud, PortSets& malicious_edu, PortSets& telescope,
-                         std::unordered_map<net::Port, bool>& cloud_measurable,
-                         std::unordered_map<net::Port, bool>& edu_measurable) {
+                         PortFlags& cloud_measurable, PortFlags& edu_measurable) {
   if (!frame.has_verdicts()) {
     throw std::logic_error("attacker_overlap: frame built without a verdict column");
   }
@@ -236,22 +157,6 @@ void accumulate_attacker(const capture::SessionFrame& frame, const std::vector<n
 }  // namespace
 
 std::vector<MaliciousOverlapRow> attacker_overlap(
-    const capture::SessionFrame& frame, const std::vector<net::Port>& ports,
-    const std::vector<capture::ActorId>& exclude_actors) {
-  const std::unordered_set<capture::ActorId> excluded(exclude_actors.begin(),
-                                                      exclude_actors.end());
-  PortSets malicious_cloud;
-  PortSets malicious_edu;
-  PortSets telescope;
-  std::unordered_map<net::Port, bool> cloud_measurable;
-  std::unordered_map<net::Port, bool> edu_measurable;
-  accumulate_attacker(frame, ports, excluded, malicious_cloud, malicious_edu, telescope,
-                      cloud_measurable, edu_measurable);
-  return attacker_rows(ports, malicious_cloud, malicious_edu, telescope, cloud_measurable,
-                       edu_measurable);
-}
-
-std::vector<MaliciousOverlapRow> attacker_overlap(
     const std::vector<const capture::SessionFrame*>& frames, const std::vector<net::Port>& ports,
     const std::vector<capture::ActorId>& exclude_actors, const SegmentPager& pager) {
   const std::unordered_set<capture::ActorId> excluded(exclude_actors.begin(),
@@ -259,8 +164,8 @@ std::vector<MaliciousOverlapRow> attacker_overlap(
   PortSets malicious_cloud;
   PortSets malicious_edu;
   PortSets telescope;
-  std::unordered_map<net::Port, bool> cloud_measurable;
-  std::unordered_map<net::Port, bool> edu_measurable;
+  PortFlags cloud_measurable;
+  PortFlags edu_measurable;
   for (std::size_t i = 0; i < frames.size(); ++i) {
     if (pager) pager(i, true);
     accumulate_attacker(*frames[i], ports, excluded, malicious_cloud, malicious_edu, telescope,

@@ -5,11 +5,11 @@
 
 #include <functional>
 #include <optional>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
-#include "analysis/malicious.h"
 #include "capture/frame.h"
-#include "capture/store.h"
 #include "net/ports.h"
 #include "topology/deployment.h"
 
@@ -27,21 +27,6 @@ struct OverlapRow {
   std::optional<double> cloud_edu_over_cloud;
 };
 
-// `exclude_actors` drops infrastructure scanners (the search-engine
-// crawlers) from the sets: at real scale their handful of source IPs is
-// negligible, but in a scaled-down population they would dominate every
-// denominator.
-std::vector<OverlapRow> scanner_overlap(const capture::EventStore& store,
-                                        const topology::Deployment& deployment,
-                                        const std::vector<net::Port>& ports,
-                                        const std::vector<capture::ActorId>& exclude_actors = {});
-
-// Frame variant: walks only the per-port posting lists and resolves network
-// types through the frame's precomputed vantage table.
-std::vector<OverlapRow> scanner_overlap(const capture::SessionFrame& frame,
-                                        const std::vector<net::Port>& ports,
-                                        const std::vector<capture::ActorId>& exclude_actors = {});
-
 // Paging hook for segmented corpora whose frames may live out of core:
 // invoked with (segment index, true) before a segment's frame is scanned and
 // (segment index, false) after, so the caller can map a spilled segment in
@@ -49,10 +34,14 @@ std::vector<OverlapRow> scanner_overlap(const capture::SessionFrame& frame,
 // frame is resident.
 using SegmentPager = std::function<void(std::size_t, bool)>;
 
-// Segmented variant: one sealed frame per epoch, scanned in segment order.
+// Scans the frames in order (a batch corpus is the one-frame list; a spilled
+// one is its per-epoch segments), walking only the per-port posting lists.
 // Overlaps are set intersections over per-port source-IP sets, and set union
-// commutes with the segment split — the rows are bit-identical to the
-// single-frame scan of the concatenated corpus.
+// commutes with the segment split, so the rows do not depend on how the
+// corpus is cut. `exclude_actors` drops infrastructure scanners (the
+// search-engine crawlers) from the sets: at real scale their handful of
+// source IPs is negligible, but in a scaled-down population they would
+// dominate every denominator.
 std::vector<OverlapRow> scanner_overlap(const std::vector<const capture::SessionFrame*>& frames,
                                         const std::vector<net::Port>& ports,
                                         const std::vector<capture::ActorId>& exclude_actors = {},
@@ -70,23 +59,28 @@ struct MaliciousOverlapRow {
   std::optional<double> tel_over_malicious_edu;
 };
 
-std::vector<MaliciousOverlapRow> attacker_overlap(
-    const capture::EventStore& store, const topology::Deployment& deployment,
-    const MaliciousClassifier& classifier, const std::vector<net::Port>& ports,
-    const std::vector<capture::ActorId>& exclude_actors = {});
-
-// Frame variant: reads the precomputed verdict column instead of classifying
-// per record. The frame must have been built with a verdict function
-// (has_verdicts()); throws std::logic_error otherwise.
-std::vector<MaliciousOverlapRow> attacker_overlap(
-    const capture::SessionFrame& frame, const std::vector<net::Port>& ports,
-    const std::vector<capture::ActorId>& exclude_actors = {});
-
-// Segmented variant of the frame scan, with the same paging hook and the
-// same exactness argument as the segmented scanner_overlap. Every segment
-// frame must carry a verdict column.
+// Same scan as scanner_overlap, reading each frame's verdict column. Every
+// frame must carry one (has_verdicts()); throws std::logic_error otherwise.
 std::vector<MaliciousOverlapRow> attacker_overlap(
     const std::vector<const capture::SessionFrame*>& frames, const std::vector<net::Port>& ports,
     const std::vector<capture::ActorId>& exclude_actors = {}, const SegmentPager& pager = {});
+
+// The row construction shared by the scans above and the test suite's
+// row-scan oracle: per-port source-IP sets in, table rows out.
+using IpSet = std::unordered_set<std::uint32_t>;
+using PortSets = std::unordered_map<net::Port, IpSet>;
+using PortFlags = std::unordered_map<net::Port, bool>;
+
+std::vector<OverlapRow> scanner_rows(const std::vector<net::Port>& ports, const PortSets& cloud,
+                                     const PortSets& edu, const PortSets& telescope);
+
+// `*_measurable` records whether any cloud/EDU vantage could measure intent
+// on the port at all; if not, the table cell is an "x".
+std::vector<MaliciousOverlapRow> attacker_rows(const std::vector<net::Port>& ports,
+                                               const PortSets& malicious_cloud,
+                                               const PortSets& malicious_edu,
+                                               const PortSets& telescope,
+                                               const PortFlags& cloud_measurable,
+                                               const PortFlags& edu_measurable);
 
 }  // namespace cw::analysis

@@ -1,48 +1,9 @@
 #include "analysis/protocols.h"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace cw::analysis {
-namespace {
-
-// Per (port, source): the fingerprint of the first payload the source
-// sent, and the actor behind it (for the reputation lookup).
-struct ScannerInfo {
-  net::Protocol protocol = net::Protocol::kUnknown;
-  capture::ActorId actor = 0;
-};
-using ScannerMap = std::map<std::pair<net::Port, std::uint32_t>, ScannerInfo>;
-
-std::vector<ProtocolBreakdownRow> breakdown_rows(const ScannerMap& scanners,
-                                                 const ProtocolOptions& options);
-
-}  // namespace
-
-std::vector<ProtocolBreakdownRow> protocol_breakdown(const capture::EventStore& store,
-                                                     const topology::Deployment& deployment,
-                                                     const ProtocolOptions& options) {
-  std::unordered_set<net::Port> wanted(options.ports.begin(), options.ports.end());
-  ScannerMap scanners;
-  for (const capture::SessionRecord& record : store.records()) {
-    if (!wanted.contains(record.port)) continue;
-    if (record.payload_id == capture::kNoPayload) continue;
-    // Honeytrap only: the assigned-handshake honeypots cannot capture
-    // unexpected protocols, so including them would dilute the shares.
-    if (deployment.at(record.vantage).collection != topology::CollectionMethod::kHoneytrap) {
-      continue;
-    }
-    const auto key = std::make_pair(record.port, record.src);
-    if (scanners.contains(key)) continue;  // first payload wins
-    ScannerInfo info;
-    info.protocol = proto::Fingerprinter::identify(store.payload(record.payload_id));
-    info.actor = record.actor;
-    scanners.emplace(key, info);
-  }
-  return breakdown_rows(scanners, options);
-}
 
 std::vector<ProtocolBreakdownRow> protocol_breakdown(const capture::SessionFrame& frame,
                                                      const ProtocolOptions& options) {
@@ -66,8 +27,6 @@ std::vector<ProtocolBreakdownRow> protocol_breakdown(const capture::SessionFrame
   }
   return breakdown_rows(scanners, options);
 }
-
-namespace {
 
 std::vector<ProtocolBreakdownRow> breakdown_rows(const ScannerMap& scanners,
                                                  const ProtocolOptions& options) {
@@ -139,5 +98,4 @@ std::vector<ProtocolBreakdownRow> breakdown_rows(const ScannerMap& scanners,
   return rows;
 }
 
-}  // namespace
 }  // namespace cw::analysis

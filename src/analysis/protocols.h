@@ -6,11 +6,12 @@
 // breakdown.
 #pragma once
 
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "analysis/oracle.h"
 #include "capture/frame.h"
-#include "capture/store.h"
 #include "net/ports.h"
 #include "proto/fingerprint.h"
 #include "topology/deployment.h"
@@ -45,13 +46,21 @@ struct ProtocolOptions {
   const ReputationOracle* oracle = nullptr;
 };
 
-std::vector<ProtocolBreakdownRow> protocol_breakdown(const capture::EventStore& store,
-                                                     const topology::Deployment& deployment,
-                                                     const ProtocolOptions& options);
-
-// Frame variant: walks the per-port posting lists and reads the protocol
-// column (fingerprinted once per distinct payload at frame build).
+// Walks the per-port posting lists and reads the protocol column
+// (fingerprinted once per distinct payload at frame build).
 std::vector<ProtocolBreakdownRow> protocol_breakdown(const capture::SessionFrame& frame,
                                                      const ProtocolOptions& options);
+
+// The row construction shared with the test suite's row-scan oracle. Per
+// (port, source): the fingerprint of the first payload the source sent, and
+// the actor behind it (for the reputation lookup).
+struct ScannerInfo {
+  net::Protocol protocol = net::Protocol::kUnknown;
+  capture::ActorId actor = 0;
+};
+using ScannerMap = std::map<std::pair<net::Port, std::uint32_t>, ScannerInfo>;
+
+std::vector<ProtocolBreakdownRow> breakdown_rows(const ScannerMap& scanners,
+                                                 const ProtocolOptions& options);
 
 }  // namespace cw::analysis

@@ -5,37 +5,6 @@
 
 namespace cw::analysis {
 
-std::vector<double> telescope_address_counts(const capture::EventStore& store,
-                                             const topology::Deployment& deployment,
-                                             net::Port port) {
-  // Locate the telescope vantage point (there is at most one per scenario).
-  const topology::VantagePoint* telescope = nullptr;
-  for (const topology::VantagePoint& vp : deployment.vantage_points()) {
-    if (vp.type == topology::NetworkType::kTelescope) {
-      telescope = &vp;
-      break;
-    }
-  }
-  if (telescope == nullptr || telescope->addresses.empty()) return {};
-
-  // Unique (dst, src) pairs per destination, via sort-and-dedup to keep the
-  // memory proportional to the record subset.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> hits;  // (neighbor, src)
-  for (std::uint32_t index : store.for_vantage(telescope->id)) {
-    const capture::SessionRecord& record = store.records()[index];
-    if (record.port != port) continue;
-    hits.emplace_back(record.neighbor, record.src);
-  }
-  std::sort(hits.begin(), hits.end());
-  hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
-
-  std::vector<double> counts(telescope->addresses.size(), 0.0);
-  for (const auto& [neighbor, src] : hits) {
-    if (neighbor < counts.size()) counts[neighbor] += 1.0;
-  }
-  return counts;
-}
-
 std::vector<double> telescope_address_counts(const capture::SessionFrame& frame, net::Port port) {
   const topology::VantagePoint* telescope = nullptr;
   for (const topology::VantagePoint& vp : frame.deployment().vantage_points()) {

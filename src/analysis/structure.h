@@ -8,7 +8,6 @@
 
 #include "capture/collector.h"
 #include "capture/frame.h"
-#include "capture/store.h"
 #include "net/ports.h"
 #include "stats/descriptive.h"
 #include "topology/deployment.h"
@@ -16,13 +15,8 @@
 namespace cw::analysis {
 
 // Unique scanning sources per telescope address on one port, indexed by the
-// address's position in the telescope vantage point (contiguous order).
-std::vector<double> telescope_address_counts(const capture::EventStore& store,
-                                             const topology::Deployment& deployment,
-                                             net::Port port);
-
-// Frame variant: reads the per-(vantage, port) posting list instead of
-// filtering the telescope's whole record set by port.
+// address's position in the telescope vantage point (contiguous order). Reads
+// the telescope's per-(vantage, port) posting list.
 std::vector<double> telescope_address_counts(const capture::SessionFrame& frame, net::Port port);
 
 struct StructureStats {

@@ -3,25 +3,10 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "runner/thread_pool.h"
 
 namespace cw::analysis {
 
 namespace {
-
-stats::FrequencyTable build_range(const capture::EventStore& store,
-                                  const std::vector<std::uint32_t>& records,
-                                  Characteristic characteristic, std::size_t begin,
-                                  std::size_t end) {
-  switch (characteristic) {
-    case Characteristic::kTopAs: return as_table(store, records, begin, end);
-    case Characteristic::kTopUsername: return username_table(store, records, begin, end);
-    case Characteristic::kTopPassword: return password_table(store, records, begin, end);
-    case Characteristic::kTopPayload: return payload_table(store, records, begin, end);
-    case Characteristic::kFracMalicious: break;
-  }
-  throw std::invalid_argument("build_characteristic_table: kFracMalicious has no table");
-}
 
 capture::CodedColumn coded_column_for(Characteristic characteristic) {
   switch (characteristic) {
@@ -38,36 +23,9 @@ capture::CodedColumn coded_column_for(Characteristic characteristic) {
 
 stats::FrequencyTable build_characteristic_table(const capture::SessionFrame& frame,
                                                  const util::PostingView& records,
-                                                 Characteristic characteristic,
-                                                 runner::ThreadPool* pool, std::size_t chunk) {
-  if (frame.has_codes()) {
-    // Encoded kernel: one gather/increment pass over the code column. Fast
-    // enough that sharding would only buy scheduling overhead; the chunked
-    // v1 path below is the no-codes fallback.
-    const capture::CodedColumn column = coded_column_for(characteristic);
-    return stats::FrequencyTable::from_codes(frame.codes(column), records, frame.dict(column));
-  }
-  const capture::EventStore& store = frame.store();
-  // The v1 builders index records randomly, so a packed view materializes.
-  std::vector<std::uint32_t> materialized;
-  const std::vector<std::uint32_t>* vec = records.as_vector();
-  if (vec == nullptr) {
-    materialized = records.to_vector();
-    vec = &materialized;
-  }
-  const std::size_t n = vec->size();
-  if (pool == nullptr || chunk == 0 || n <= chunk) {
-    return build_range(store, *vec, characteristic, 0, n);
-  }
-  const std::size_t chunks = (n + chunk - 1) / chunk;
-  std::vector<stats::FrequencyTable> partials(chunks);
-  pool->parallel_for(chunks, [&](std::size_t i) {
-    partials[i] = build_range(store, *vec, characteristic, i * chunk,
-                              std::min(n, (i + 1) * chunk));
-  });
-  stats::FrequencyTable out = std::move(partials.front());
-  for (std::size_t i = 1; i < chunks; ++i) out.merge(partials[i]);
-  return out;
+                                                 Characteristic characteristic) {
+  const capture::CodedColumn column = coded_column_for(characteristic);
+  return stats::FrequencyTable::from_codes(frame.codes(column), records, frame.dict(column));
 }
 
 template <typename Entry>
@@ -94,15 +52,16 @@ util::PostingView CharacteristicTableCache::records_for(topology::VantageId vant
   SliceEntry& slice =
       entry(slices_, pack(vantage, neighbor, scope, Characteristic::kTopAs));
   std::call_once(slice.once, [&] {
-    if (neighbor == kWholeVantage) {
-      // HTTP/AllPorts: filter the vantage posting list by the protocol
-      // column, the same test slice_vantage applies.
-      for (std::uint32_t index : frame_->for_vantage(vantage)) {
-        if (in_scope(*frame_, index, scope)) slice.owned.push_back(index);
-      }
-    } else {
-      slice.owned = slice_neighbor(*frame_, vantage, neighbor, scope).records;
-    }
+    // HTTP/AllPorts filters by the protocol column; a neighbor slice walks
+    // the narrowest posting list that covers its scope.
+    const auto port = scope_port(scope);
+    const util::PostingView candidates =
+        port ? util::PostingView(frame_->for_vantage_port(vantage, *port))
+             : util::PostingView(frame_->for_vantage(vantage));
+    candidates.for_each([&](std::uint32_t index) {
+      if (neighbor != kWholeVantage && frame_->neighbor(index) != neighbor) return;
+      if (port || in_scope(*frame_, index, scope)) slice.owned.push_back(index);
+    });
     slice.records = util::PostingView(slice.owned);
   });
   return slice.records;
@@ -116,12 +75,11 @@ std::size_t CharacteristicTableCache::record_count(topology::VantageId vantage, 
 const stats::FrequencyTable& CharacteristicTableCache::table(topology::VantageId vantage,
                                                              TrafficScope scope,
                                                              Characteristic characteristic,
-                                                             runner::ThreadPool* pool,
                                                              std::uint16_t neighbor) const {
   TableEntry& cached = entry(tables_, pack(vantage, neighbor, scope, characteristic));
   std::call_once(cached.once, [&] {
     cached.table = build_characteristic_table(*frame_, records_for(vantage, neighbor, scope),
-                                              characteristic, pool);
+                                              characteristic);
   });
   return cached.table;
 }
@@ -131,8 +89,7 @@ std::pair<std::uint64_t, std::uint64_t> CharacteristicTableCache::malicious(
   BinaryEntry& cached =
       entry(binaries_, pack(vantage, neighbor, scope, Characteristic::kFracMalicious));
   std::call_once(cached.once, [&] {
-    // Same read path as malicious_counts on a frame-backed slice: the
-    // verdict column when present, per-record classification otherwise.
+    // The verdict column when present, per-record classification otherwise.
     cached.counts = classifier_->count(*frame_, records_for(vantage, neighbor, scope));
   });
   return cached.counts;
@@ -204,7 +161,6 @@ std::size_t SegmentedTableCache::record_count(topology::VantageId vantage, Traff
 const stats::FrequencyTable& SegmentedTableCache::table(topology::VantageId vantage,
                                                         TrafficScope scope,
                                                         Characteristic characteristic,
-                                                        runner::ThreadPool* pool,
                                                         std::uint16_t neighbor) const {
   MergedTable& cached = merged_entry(merged_tables_, pack(vantage, neighbor, scope, characteristic));
   std::call_once(cached.once, [&] {
@@ -213,7 +169,7 @@ const stats::FrequencyTable& SegmentedTableCache::table(topology::VantageId vant
     // fixed anyway so the build schedule itself is reproducible.
     for (std::size_t i = 0; i < segments_.size(); ++i) {
       const PageGuard guard(pager_, i);
-      cached.table.merge(segments_[i]->table(vantage, scope, characteristic, pool, neighbor));
+      cached.table.merge(segments_[i]->table(vantage, scope, characteristic, neighbor));
     }
   });
   return cached.table;

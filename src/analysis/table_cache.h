@@ -2,28 +2,18 @@
 // tables (and (malicious, benign) counts) the Section 3.3 comparisons are
 // built from, keyed by (vantage, neighbor, scope, characteristic).
 //
-// Two layers of reuse:
-//
-//  1. Across comparisons. Table 10's eight compare_vantage_pairs calls name
-//     Orion as a side in 5 pairs per scope, and each Honeytrap vantage in
-//     2-3; Tables 4/5/7 repeat vantage-level sides the same way, and Table
-//     2 re-slices the same neighborhoods once per characteristic. Routing
-//     compare_characteristic through the cache builds each side's table
-//     exactly once per (vantage, scope, characteristic) and shares it with
-//     every comparison that names that side — which also helps --jobs 1.
-//
-//  2. Within one build. Big tables (the kAnyAll telescope side walks ~every
-//     record) shard over fixed-size record chunks via
-//     runner::ThreadPool::parallel_for; the chunk partials are merged in
-//     ascending chunk order. Counts are exact integers, so the merged table
-//     — and therefore sorted()/top_k() and every downstream report byte —
-//     is identical at any worker count.
+// Routing compare_characteristic through the cache builds each side's
+// table exactly once per (vantage, scope, characteristic) and shares it
+// with every comparison that names that side: Table 10's eight
+// compare_vantage_pairs calls name Orion as a side in 5 pairs per scope,
+// Tables 4/5/7 repeat vantage-level sides the same way, and Table 2
+// re-slices the same neighborhoods once per characteristic. Each table is
+// one pass of the encoded kernel (build_characteristic_table) over the
+// slice's posting list.
 //
 // Thread safety: entries are created under a mutex and built under a
 // per-entry std::once_flag, so concurrent pair shards that share a side
-// block on the single builder instead of duplicating work. The builder may
-// itself fan out through the pool (ThreadPool::parallel_for is nest-safe);
-// waiters hold no pool resources, so this cannot deadlock.
+// block on the single builder instead of duplicating work.
 //
 // Lifetime: the cache borrows the SessionFrame (and the classifier behind
 // its verdict column) and must not outlive it — ExperimentResult owns both
@@ -38,37 +28,22 @@
 #include <vector>
 
 #include "analysis/characteristics.h"
+#include "analysis/malicious.h"
 #include "analysis/overlap.h"  // SegmentPager
 #include "capture/frame.h"
 #include "stats/freq.h"
 
-namespace cw::runner {
-class ThreadPool;
-}  // namespace cw::runner
-
 namespace cw::analysis {
 
-// Record-chunk size for sharded table builds. Fixed (not derived from the
-// worker count) so the partial boundaries are reproducible; the merged
-// result would be identical either way, but fixed chunks keep the build
-// schedule itself worker-count independent.
-inline constexpr std::size_t kTableBuildChunk = 1u << 16;
-
 // Builds the characteristic's frequency table over the record set (a plain
-// ascending vector or a packed frame posting list, via util::PostingView).
-// Frames carrying encoded characteristic columns (SessionFrame v2) count
-// through stats::FrequencyTable::from_codes — one branchless pass, no
-// string ever touched — and the result is bit-identical to the v1 text
-// scan because all table output renders through dictionary text. Frames
-// without codes fall back to the v1 path: with a pool and enough records
-// the build shards into kTableBuildChunk-sized partials merged in chunk
-// order, identical to the sequential build. kFracMalicious has no
-// frequency table; asking for it throws.
+// ascending vector or a packed frame posting list, via util::PostingView)
+// through stats::FrequencyTable::from_codes: one branchless pass over the
+// frame's encoded column, no string touched. All table output renders
+// through dictionary text, so the counts equal a per-record text scan.
+// kFracMalicious has no frequency table; asking for it throws.
 stats::FrequencyTable build_characteristic_table(const capture::SessionFrame& frame,
                                                  const util::PostingView& records,
-                                                 Characteristic characteristic,
-                                                 runner::ThreadPool* pool = nullptr,
-                                                 std::size_t chunk = kTableBuildChunk);
+                                                 Characteristic characteristic);
 
 class CharacteristicTableCache {
  public:
@@ -94,7 +69,8 @@ class CharacteristicTableCache {
   // cache (SegmentedTableCache) substitutes for a whole-corpus cache in
   // every comparison driver — compare_characteristic, compare_vantage_pairs,
   // analyze_neighborhoods, geo_similarity — without those drivers knowing
-  // about segments.
+  // about segments. The test suite's row-scan oracle cache overrides it the
+  // same way.
 
   // A frame carrying the deployment/vantage metadata (collection method,
   // network type) the comparison drivers consult. For the whole-corpus cache
@@ -110,11 +86,11 @@ class CharacteristicTableCache {
                                                  std::uint16_t neighbor = kWholeVantage) const;
 
   // The slice's frequency table for a top-k characteristic, built on first
-  // use (sharded through `pool` when one is supplied) and shared by every
-  // later caller. The reference stays valid for the cache's lifetime.
+  // use and shared by every later caller. The reference stays valid for the
+  // cache's lifetime.
   [[nodiscard]] virtual const stats::FrequencyTable& table(
       topology::VantageId vantage, TrafficScope scope, Characteristic characteristic,
-      runner::ThreadPool* pool = nullptr, std::uint16_t neighbor = kWholeVantage) const;
+      std::uint16_t neighbor = kWholeVantage) const;
 
   // (malicious, benign) counts for the slice (the kFracMalicious side),
   // read from the frame's verdict column when present.
@@ -126,8 +102,8 @@ class CharacteristicTableCache {
   [[nodiscard]] virtual std::size_t tables_built() const;
 
  protected:
-  // For segment-merging subclasses that override the whole query surface and
-  // never touch the base maps: no corpus frame exists at construction.
+  // For subclasses that override the whole query surface and never touch the
+  // base maps (the segment-merging cache; the tests' row-scan oracle).
   explicit CharacteristicTableCache(const MaliciousClassifier& classifier)
       : frame_(nullptr), classifier_(&classifier) {}
 
@@ -222,7 +198,6 @@ class SegmentedTableCache final : public CharacteristicTableCache {
                                          std::uint16_t neighbor = kWholeVantage) const override;
   [[nodiscard]] const stats::FrequencyTable& table(
       topology::VantageId vantage, TrafficScope scope, Characteristic characteristic,
-      runner::ThreadPool* pool = nullptr,
       std::uint16_t neighbor = kWholeVantage) const override;
   [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> malicious(
       topology::VantageId vantage, TrafficScope scope,

@@ -135,7 +135,7 @@ bool write_dataset_impl(const EventStore& store, const SessionFrame* frame, std:
       frame != nullptr ? (8 - (segment_start + body_end) % 8) % 8 : 0;
   const std::uint64_t frame_offset = frame != nullptr ? body_end + pad : 0;
 
-  CrcWriter w{out};
+  CrcWriter w{out, {}};
   w.write(kMagic, sizeof kMagic);
   w.pod(kVersion);
   w.pod(static_cast<std::uint64_t>(store.size()));
@@ -187,7 +187,7 @@ std::optional<EventStore> read_dataset_impl(std::istream& in, std::string* error
     return std::nullopt;
   };
 
-  CrcReader r{in};
+  CrcReader r{in, {}};
   char magic[4];
   if (!r.read(magic, sizeof magic) || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
     return failed("dataset: bad magic");

@@ -135,7 +135,6 @@ SessionFrame SessionFrame::build(const EventStore& store,
   frame.actor_.resize(n);
   frame.flags_.resize(n);
 
-  const bool encode = options.encode_characteristics || options.shared_dicts != nullptr;
   SharedFrameDicts* shared = options.shared_dicts;
 
   // --- per-distinct-payload tables ----------------------------------------
@@ -152,7 +151,7 @@ SessionFrame SessionFrame::build(const EventStore& store,
     frame.protocol_.resize(n, net::Protocol::kUnknown);
     frame.has_protocols_ = true;
   }
-  if (encode) payload_shifted.resize(distinct_payloads, 0);
+  payload_shifted.resize(distinct_payloads, 0);
 
   if (shared != nullptr) {
     // Sequential first-sight encode in payload-id (= store record) order.
@@ -167,83 +166,72 @@ SessionFrame SessionFrame::build(const EventStore& store,
       payload_shifted[id] = it->second.shifted_code;
       if (frame.has_protocols_) payload_protocol[id] = it->second.protocol;
     }
-  } else if (frame.has_protocols_ || encode) {
-    std::vector<std::string> normalized;
-    if (encode) normalized.resize(distinct_payloads);
+  } else {
+    std::vector<std::string> normalized(distinct_payloads);
     for_chunks(options.pool, distinct_payloads, [&](std::size_t begin, std::size_t end) {
       for (std::size_t id = begin; id < end; ++id) {
         const std::string& raw = store.payload(static_cast<std::uint32_t>(id));
         if (frame.has_protocols_) payload_protocol[id] = proto::Fingerprinter::identify(raw);
-        if (encode) normalized[id] = proto::normalize_http_payload(raw);
+        normalized[id] = proto::normalize_http_payload(raw);
       }
     });
-    if (encode) {
-      auto dict = util::Dictionary::sorted(normalized);
-      for (std::size_t id = 0; id < distinct_payloads; ++id) {
-        payload_shifted[id] = *dict->find(normalized[id]) + 1;
-      }
-      frame.dicts_[column_index(CodedColumn::kPayload)] = std::move(dict);
+    auto dict = util::Dictionary::sorted(normalized);
+    for (std::size_t id = 0; id < distinct_payloads; ++id) {
+      payload_shifted[id] = *dict->find(normalized[id]) + 1;
     }
+    frame.dicts_[column_index(CodedColumn::kPayload)] = std::move(dict);
   }
 
   // --- per-distinct-credential tables -------------------------------------
   const std::size_t distinct_credentials = store.distinct_credentials();
-  std::vector<std::uint32_t> username_shifted;
-  std::vector<std::uint32_t> password_shifted;
-  if (encode) {
-    username_shifted.resize(distinct_credentials, 0);
-    password_shifted.resize(distinct_credentials, 0);
-    if (shared != nullptr) {
-      auto& username_dict = *shared->dicts[column_index(CodedColumn::kUsername)];
-      auto& password_dict = *shared->dicts[column_index(CodedColumn::kPassword)];
-      for (std::size_t id = 0; id < distinct_credentials; ++id) {
-        const std::string& text = store.credential_text(static_cast<std::uint32_t>(id));
-        auto [it, inserted] = shared->credential_memo.try_emplace(text);
-        if (inserted) {
-          const proto::Credential credential = store.credential(static_cast<std::uint32_t>(id));
-          it->second.shifted_username = username_dict.encode(credential.username) + 1;
-          it->second.shifted_password = password_dict.encode(credential.password) + 1;
-        }
-        username_shifted[id] = it->second.shifted_username;
-        password_shifted[id] = it->second.shifted_password;
+  std::vector<std::uint32_t> username_shifted(distinct_credentials, 0);
+  std::vector<std::uint32_t> password_shifted(distinct_credentials, 0);
+  if (shared != nullptr) {
+    auto& username_dict = *shared->dicts[column_index(CodedColumn::kUsername)];
+    auto& password_dict = *shared->dicts[column_index(CodedColumn::kPassword)];
+    for (std::size_t id = 0; id < distinct_credentials; ++id) {
+      const std::string& text = store.credential_text(static_cast<std::uint32_t>(id));
+      auto [it, inserted] = shared->credential_memo.try_emplace(text);
+      if (inserted) {
+        const proto::Credential credential = store.credential(static_cast<std::uint32_t>(id));
+        it->second.shifted_username = username_dict.encode(credential.username) + 1;
+        it->second.shifted_password = password_dict.encode(credential.password) + 1;
       }
-    } else {
-      std::vector<std::string> usernames(distinct_credentials);
-      std::vector<std::string> passwords(distinct_credentials);
-      for_chunks(options.pool, distinct_credentials, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t id = begin; id < end; ++id) {
-          proto::Credential credential = store.credential(static_cast<std::uint32_t>(id));
-          usernames[id] = std::move(credential.username);
-          passwords[id] = std::move(credential.password);
-        }
-      });
-      auto username_dict = util::Dictionary::sorted(usernames);
-      auto password_dict = util::Dictionary::sorted(passwords);
-      for (std::size_t id = 0; id < distinct_credentials; ++id) {
-        username_shifted[id] = *username_dict->find(usernames[id]) + 1;
-        password_shifted[id] = *password_dict->find(passwords[id]) + 1;
-      }
-      frame.dicts_[column_index(CodedColumn::kUsername)] = std::move(username_dict);
-      frame.dicts_[column_index(CodedColumn::kPassword)] = std::move(password_dict);
+      username_shifted[id] = it->second.shifted_username;
+      password_shifted[id] = it->second.shifted_password;
     }
+  } else {
+    std::vector<std::string> usernames(distinct_credentials);
+    std::vector<std::string> passwords(distinct_credentials);
+    for_chunks(options.pool, distinct_credentials, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t id = begin; id < end; ++id) {
+        proto::Credential credential = store.credential(static_cast<std::uint32_t>(id));
+        usernames[id] = std::move(credential.username);
+        passwords[id] = std::move(credential.password);
+      }
+    });
+    auto username_dict = util::Dictionary::sorted(usernames);
+    auto password_dict = util::Dictionary::sorted(passwords);
+    for (std::size_t id = 0; id < distinct_credentials; ++id) {
+      username_shifted[id] = *username_dict->find(usernames[id]) + 1;
+      password_shifted[id] = *password_dict->find(passwords[id]) + 1;
+    }
+    frame.dicts_[column_index(CodedColumn::kUsername)] = std::move(username_dict);
+    frame.dicts_[column_index(CodedColumn::kPassword)] = std::move(password_dict);
   }
 
-  if (encode) {
-    for (auto& column : frame.codes_) column.resize(n, 0);
-    frame.has_codes_ = true;
-  }
+  for (auto& column : frame.codes_) column.resize(n, 0);
   const bool verdict_per_record = static_cast<bool>(options.verdict) && !options.verdict_pure;
   if (options.verdict) {
     frame.verdict_.resize(n, static_cast<std::uint8_t>(Verdict::kUnobservable));
     frame.has_verdicts_ = true;
   }
 
-  util::Column<std::uint32_t>* payload_codes =
-      encode ? &frame.codes_[column_index(CodedColumn::kPayload)] : nullptr;
-  util::Column<std::uint32_t>* username_codes =
-      encode ? &frame.codes_[column_index(CodedColumn::kUsername)] : nullptr;
-  util::Column<std::uint32_t>* password_codes =
-      encode ? &frame.codes_[column_index(CodedColumn::kPassword)] : nullptr;
+  util::Column<std::uint32_t>& payload_codes = frame.codes_[column_index(CodedColumn::kPayload)];
+  util::Column<std::uint32_t>& username_codes =
+      frame.codes_[column_index(CodedColumn::kUsername)];
+  util::Column<std::uint32_t>& password_codes =
+      frame.codes_[column_index(CodedColumn::kPassword)];
 
   for_chunks(options.pool, n, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
@@ -264,11 +252,11 @@ SessionFrame SessionFrame::build(const EventStore& store,
       frame.flags_[i] = flags;
       if (record.payload_id != kNoPayload) {
         if (frame.has_protocols_) frame.protocol_[i] = payload_protocol[record.payload_id];
-        if (encode) (*payload_codes)[i] = payload_shifted[record.payload_id];
+        payload_codes[i] = payload_shifted[record.payload_id];
       }
-      if (encode && record.credential_id != kNoCredential) {
-        (*username_codes)[i] = username_shifted[record.credential_id];
-        (*password_codes)[i] = password_shifted[record.credential_id];
+      if (record.credential_id != kNoCredential) {
+        username_codes[i] = username_shifted[record.credential_id];
+        password_codes[i] = password_shifted[record.credential_id];
       }
       if (verdict_per_record) {
         frame.verdict_[i] = static_cast<std::uint8_t>(options.verdict(record));
@@ -296,8 +284,7 @@ SessionFrame SessionFrame::build(const EventStore& store,
   FlatSlotMap verdict_slots;
   std::vector<std::uint8_t> verdict_memo;
   const bool verdict_memoized = static_cast<bool>(options.verdict) && options.verdict_pure;
-  util::Column<std::uint32_t>* as_codes =
-      encode ? &frame.codes_[column_index(CodedColumn::kAs)] : nullptr;
+  util::Column<std::uint32_t>& as_codes = frame.codes_[column_index(CodedColumn::kAs)];
 
   for (std::uint32_t i = 0; i < n; ++i) {
     const net::Port port = frame.port_[i];
@@ -321,10 +308,10 @@ SessionFrame SessionFrame::build(const EventStore& store,
       }
       vp_lists[slot].append(i);
     }
-    if (encode) {
+    {
       const std::uint32_t slot = asn_slots.slot_for(frame.src_as_[i]);
       if (slot == distinct_asns.size()) distinct_asns.push_back(frame.src_as_[i]);
-      (*as_codes)[i] = slot;  // remapped to a shifted code below
+      as_codes[i] = slot;  // remapped to a shifted code below
     }
     if (verdict_memoized) {
       const SessionRecord& record = records[i];
@@ -353,33 +340,31 @@ SessionFrame SessionFrame::build(const EventStore& store,
   }
 
   // --- AS dictionary + code remap ------------------------------------------
-  if (encode) {
-    std::vector<std::uint32_t> slot_to_shifted(distinct_asns.size(), 0);
-    if (shared != nullptr) {
-      auto& as_dict = *shared->dicts[column_index(CodedColumn::kAs)];
-      for (std::size_t s = 0; s < distinct_asns.size(); ++s) {
-        auto [it, inserted] = shared->as_memo.try_emplace(distinct_asns[s]);
-        if (inserted) it->second = as_dict.encode(as_text(distinct_asns[s])) + 1;
-        slot_to_shifted[s] = it->second;
-      }
-    } else {
-      std::vector<std::string> texts;
-      texts.reserve(distinct_asns.size());
-      for (const net::Asn asn : distinct_asns) texts.push_back(as_text(asn));
-      auto dict = util::Dictionary::sorted(texts);
-      for (std::size_t s = 0; s < distinct_asns.size(); ++s) {
-        slot_to_shifted[s] = *dict->find(as_text(distinct_asns[s])) + 1;
-      }
-      frame.dicts_[column_index(CodedColumn::kAs)] = std::move(dict);
+  std::vector<std::uint32_t> slot_to_shifted(distinct_asns.size(), 0);
+  if (shared != nullptr) {
+    auto& as_dict = *shared->dicts[column_index(CodedColumn::kAs)];
+    for (std::size_t s = 0; s < distinct_asns.size(); ++s) {
+      auto [it, inserted] = shared->as_memo.try_emplace(distinct_asns[s]);
+      if (inserted) it->second = as_dict.encode(as_text(distinct_asns[s])) + 1;
+      slot_to_shifted[s] = it->second;
     }
-    for_chunks(options.pool, n, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        (*as_codes)[i] = slot_to_shifted[(*as_codes)[i]];
-      }
-    });
-    if (shared != nullptr) {
-      for (std::size_t c = 0; c < kCodedColumns; ++c) frame.dicts_[c] = shared->dicts[c];
+  } else {
+    std::vector<std::string> texts;
+    texts.reserve(distinct_asns.size());
+    for (const net::Asn asn : distinct_asns) texts.push_back(as_text(asn));
+    auto dict = util::Dictionary::sorted(texts);
+    for (std::size_t s = 0; s < distinct_asns.size(); ++s) {
+      slot_to_shifted[s] = *dict->find(as_text(distinct_asns[s])) + 1;
     }
+    frame.dicts_[column_index(CodedColumn::kAs)] = std::move(dict);
+  }
+  for_chunks(options.pool, n, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      as_codes[i] = slot_to_shifted[as_codes[i]];
+    }
+  });
+  if (shared != nullptr) {
+    for (std::size_t c = 0; c < kCodedColumns; ++c) frame.dicts_[c] = shared->dicts[c];
   }
   return frame;
 }
@@ -412,7 +397,6 @@ SessionFrame::SessionFrame(SessionFrame&& other) noexcept
       protocol_(std::move(other.protocol_)),
       has_verdicts_(other.has_verdicts_),
       has_protocols_(other.has_protocols_),
-      has_codes_(other.has_codes_),
       codes_(std::move(other.codes_)),
       dicts_(std::move(other.dicts_)),
       vantage_network_(std::move(other.vantage_network_)),
@@ -453,7 +437,6 @@ SessionFrame& SessionFrame::operator=(SessionFrame&& other) noexcept {
     protocol_ = std::move(other.protocol_);
     has_verdicts_ = other.has_verdicts_;
     has_protocols_ = other.has_protocols_;
-    has_codes_ = other.has_codes_;
     codes_ = std::move(other.codes_);
     dicts_ = std::move(other.dicts_);
     vantage_network_ = std::move(other.vantage_network_);

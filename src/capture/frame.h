@@ -139,8 +139,6 @@ class SessionFrame {
     bool verdict_pure = false;
     // Fingerprint each distinct payload into the protocol column.
     bool fingerprint_payloads = true;
-    // Materialize the dictionary-encoded characteristic columns.
-    bool encode_characteristics = true;
     // Stream mode: encode against these shared dictionaries instead of
     // building frame-local sorted ones. Borrowed; mutated during build.
     SharedFrameDicts* shared_dicts = nullptr;
@@ -216,8 +214,7 @@ class SessionFrame {
   [[nodiscard]] bool has_protocols() const noexcept { return has_protocols_; }
   [[nodiscard]] net::Protocol protocol(std::uint32_t i) const { return protocol_[i]; }
 
-  // --- encoded characteristic columns (v2) ---------------------------------
-  [[nodiscard]] bool has_codes() const noexcept { return has_codes_; }
+  // --- encoded characteristic columns --------------------------------------
   // Shifted codes (code+1; 0 = no value), one entry per record.
   [[nodiscard]] std::span<const std::uint32_t> codes(CodedColumn column) const {
     return codes_[static_cast<std::size_t>(column)].span();
@@ -276,7 +273,6 @@ class SessionFrame {
   util::Column<net::Protocol> protocol_;
   bool has_verdicts_ = false;
   bool has_protocols_ = false;
-  bool has_codes_ = false;
 
   std::array<util::Column<std::uint32_t>, kCodedColumns> codes_;
   std::array<std::shared_ptr<const util::Dictionary>, kCodedColumns> dicts_;

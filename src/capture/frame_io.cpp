@@ -125,7 +125,7 @@ std::vector<std::uint8_t> FrameView::serialize(const SessionFrame& frame) {
   hdr.vantage_count = static_cast<std::uint32_t>(frame.vantage_network_.size());
   if (frame.has_verdicts_) hdr.flags |= kFlagVerdicts;
   if (frame.has_protocols_) hdr.flags |= kFlagProtocols;
-  if (frame.has_codes_) hdr.flags |= kFlagCodes;
+  hdr.flags |= kFlagCodes;
 
   std::vector<std::uint8_t> out(sizeof(SectionHeader), 0);
 
@@ -150,11 +150,9 @@ std::vector<std::uint8_t> FrameView::serialize(const SessionFrame& frame) {
     hdr.column_offsets[kColProtocol] =
         append_array(out, frame.protocol_.data(), n * sizeof(net::Protocol));
   }
-  if (frame.has_codes_) {
-    for (std::size_t c = 0; c < kCodedColumns; ++c) {
-      hdr.column_offsets[kColCodes0 + c] =
-          append_array(out, frame.codes_[c].data(), n * sizeof(std::uint32_t));
-    }
+  for (std::size_t c = 0; c < kCodedColumns; ++c) {
+    hdr.column_offsets[kColCodes0 + c] =
+        append_array(out, frame.codes_[c].data(), n * sizeof(std::uint32_t));
   }
 
   for (std::size_t p = 0; p < 3; ++p) {
@@ -205,21 +203,18 @@ std::vector<std::uint8_t> FrameView::serialize(const SessionFrame& frame) {
 
   // Inline dictionaries: strings in code order, so a cold restart rebuilds
   // the exact code assignment with first-sight encodes.
-  if (frame.has_codes_) {
-    pad8(out);
-    hdr.dict_offset = out.size();
-    for (std::size_t c = 0; c < kCodedColumns; ++c) {
-      const auto& dict = frame.dicts_[c];
-      const std::uint64_t count = dict != nullptr ? dict->size() : 0;
-      append_pod(out, count);
-      for (std::uint32_t code = 0; code < count; ++code) {
-        const std::string& text = dict->at(code);
-        append_pod(out, static_cast<std::uint32_t>(text.size()));
-        out.insert(out.end(), text.begin(), text.end());
-      }
+  pad8(out);
+  hdr.dict_offset = out.size();
+  for (std::size_t c = 0; c < kCodedColumns; ++c) {
+    const auto& dict = frame.dicts_[c];
+    const std::uint64_t count = dict != nullptr ? dict->size() : 0;
+    append_pod(out, count);
+    for (std::uint32_t code = 0; code < count; ++code) {
+      const std::string& text = dict->at(code);
+      append_pod(out, static_cast<std::uint32_t>(text.size()));
+      out.insert(out.end(), text.begin(), text.end());
     }
   }
-
   pad8(out);
   hdr.section_length = out.size();
   std::memcpy(out.data(), &hdr, sizeof(hdr));
@@ -259,6 +254,9 @@ bool FrameView::parse_directory(const std::uint8_t* base, std::size_t size, bool
                            std::to_string(size) + ")");
   }
 
+  // Analysis reads characteristics only through the encoded columns, so a
+  // section without them cannot serve any table.
+  if ((hdr.flags & kFlagCodes) == 0) return fail(error, where + ": no encoded columns");
   record_count_ = hdr.record_count;
   flags_ = hdr.flags;
   vantage_count_ = hdr.vantage_count;
@@ -283,10 +281,8 @@ bool FrameView::parse_directory(const std::uint8_t* base, std::size_t size, bool
   if ((flags_ & kFlagProtocols) != 0 && !require(kColProtocol)) {
     return fail(error, where + ": protocol column missing");
   }
-  if ((flags_ & kFlagCodes) != 0) {
-    for (std::size_t c = 0; c < kCodedColumns; ++c) {
-      if (!require(kColCodes0 + c)) return fail(error, where + ": code column missing");
-    }
+  for (std::size_t c = 0; c < kCodedColumns; ++c) {
+    if (!require(kColCodes0 + c)) return fail(error, where + ": code column missing");
   }
 
   for (std::size_t p = 0; p < 3; ++p) {
@@ -362,28 +358,26 @@ bool FrameView::parse_directory(const std::uint8_t* base, std::size_t size, bool
 
   dicts_ = {};
   if (load_dicts) {
-    if ((flags_ & kFlagCodes) != 0 && hdr.dict_offset == 0) {
+    if (hdr.dict_offset == 0) {
       return fail(error, where + ": coded frame without inline dictionaries");
     }
-    if (hdr.dict_offset != 0) {
-      std::uint64_t pos = hdr.dict_offset;
-      for (std::size_t c = 0; c < kCodedColumns; ++c) {
-        if (pos + 8 > size) return fail(error, where + ": truncated dictionary section");
-        std::uint64_t count = 0;
-        std::memcpy(&count, base + pos, 8);
-        pos += 8;
-        auto dict = std::make_shared<util::Dictionary>();
-        for (std::uint64_t code = 0; code < count; ++code) {
-          if (pos + 4 > size) return fail(error, where + ": truncated dictionary entry");
-          std::uint32_t len = 0;
-          std::memcpy(&len, base + pos, 4);
-          pos += 4;
-          if (pos + len > size) return fail(error, where + ": truncated dictionary entry");
-          dict->encode(std::string_view(reinterpret_cast<const char*>(base + pos), len));
-          pos += len;
-        }
-        dicts_[c] = std::move(dict);
+    std::uint64_t pos = hdr.dict_offset;
+    for (std::size_t c = 0; c < kCodedColumns; ++c) {
+      if (pos + 8 > size) return fail(error, where + ": truncated dictionary section");
+      std::uint64_t count = 0;
+      std::memcpy(&count, base + pos, 8);
+      pos += 8;
+      auto dict = std::make_shared<util::Dictionary>();
+      for (std::uint64_t code = 0; code < count; ++code) {
+        if (pos + 4 > size) return fail(error, where + ": truncated dictionary entry");
+        std::uint32_t len = 0;
+        std::memcpy(&len, base + pos, 4);
+        pos += 4;
+        if (pos + len > size) return fail(error, where + ": truncated dictionary entry");
+        dict->encode(std::string_view(reinterpret_cast<const char*>(base + pos), len));
+        pos += len;
       }
+      dicts_[c] = std::move(dict);
     }
   }
   return true;
@@ -421,7 +415,6 @@ bool FrameView::bind(SessionFrame& target, const std::uint8_t* base, std::string
 
   target.has_verdicts_ = (flags_ & kFlagVerdicts) != 0;
   target.has_protocols_ = (flags_ & kFlagProtocols) != 0;
-  target.has_codes_ = (flags_ & kFlagCodes) != 0;
   if (target.has_verdicts_) {
     col(target.verdict_, kColVerdict);
   } else {
@@ -432,13 +425,7 @@ bool FrameView::bind(SessionFrame& target, const std::uint8_t* base, std::string
   } else {
     target.protocol_ = {};
   }
-  for (std::size_t c = 0; c < kCodedColumns; ++c) {
-    if (target.has_codes_) {
-      col(target.codes_[c], kColCodes0 + c);
-    } else {
-      target.codes_[c] = {};
-    }
-  }
+  for (std::size_t c = 0; c < kCodedColumns; ++c) col(target.codes_[c], kColCodes0 + c);
 
   for (std::size_t p = 0; p < 3; ++p) {
     target.network_partition_[p].bind_external(

@@ -5,7 +5,7 @@
 //     layout into one byte blob: every column as a raw 8-aligned array, the
 //     per-port / per-(vantage, port) posting lists in their packed container
 //     form (util::PostingList::serialize), the per-vantage record index, the
-//     per-network partitions, and (when the frame carries codes) the four
+//     per-network partitions, the encoded columns, and the four
 //     characteristic dictionaries inline. The blob is the CWDS v3 "frame
 //     section"; capture::write_dataset embeds it per segment.
 //

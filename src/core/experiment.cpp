@@ -52,6 +52,12 @@ void ExperimentResult::bind_segment_frames(std::vector<const capture::SessionFra
   segment_pager_ = std::move(pager);
 }
 
+std::vector<const capture::SessionFrame*> ExperimentResult::frames(
+    runner::ThreadPool* pool) const {
+  if (!segment_frames_.empty()) return segment_frames_;
+  return {&frame(pool)};
+}
+
 void ExperimentResult::release_derived() {
   // The cold cache borrows the frame; tear down in dependency order.
   table_cache_.reset();

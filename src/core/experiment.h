@@ -116,10 +116,10 @@ class ExperimentResult {
   void release_derived();
 
   // Out-of-core stream mode: registers the sealed per-segment frames (and
-  // the pager that maps a spilled one in around a scan) so frame-scanning
-  // extractors (Tables 8/9) walk segments instead of demanding a cumulative
-  // corpus frame — which a spill run never builds. Borrowed like the rebind
-  // pointers; an empty vector restores the cumulative-frame path.
+  // the pager that maps a spilled one in around a scan) so frames() hands
+  // the frame-scanning analyses (Tables 8/9) the segments instead of a
+  // cumulative corpus frame — which a spill run never builds. Borrowed like
+  // the rebind pointers; an empty vector restores the cumulative frame.
   void bind_segment_frames(std::vector<const capture::SessionFrame*> frames,
                            analysis::SegmentPager pager);
   [[nodiscard]] const std::vector<const capture::SessionFrame*>& segment_frames() const noexcept {
@@ -128,6 +128,13 @@ class ExperimentResult {
   [[nodiscard]] const analysis::SegmentPager& segment_pager() const noexcept {
     return segment_pager_;
   }
+
+  // The corpus as the frame list the frame-scanning analyses (overlaps,
+  // clustering, co-location) take: the bound segment frames, or the one
+  // cumulative frame(pool). Pass segment_pager() alongside; it is empty
+  // unless segments are bound.
+  [[nodiscard]] std::vector<const capture::SessionFrame*> frames(
+      runner::ThreadPool* pool = nullptr) const;
 
  private:
   friend class Experiment;

@@ -310,8 +310,9 @@ std::string render_table8(const ExperimentResult& result) {
   util::TextTable table({"Port", "|Tel & Cloud|/|Cloud|", "|Tel & EDU|/|EDU|",
                          "|Cloud & EDU|/|Cloud|"});
   const auto rows = analysis::scanner_overlap(
-      result.frame(), net::popular_ports(),
-      {agents::Population::kCensysActorId, agents::Population::kShodanActorId});
+      result.frames(), net::popular_ports(),
+      {agents::Population::kCensysActorId, agents::Population::kShodanActorId},
+      result.segment_pager());
   auto cell = [](const std::optional<double>& value) {
     return value ? pct(*value * 100.0) : std::string("-");
   };
@@ -327,8 +328,9 @@ std::string render_table9(const ExperimentResult& result) {
       {"Port", "|Tel & Mal.Cloud|/|Mal.Cloud|", "|Tel & Mal.EDU|/|Mal.EDU|"});
   const std::vector<net::Port> ports = {23, 2323, 80, 8080, 2222, 22};
   const auto rows = analysis::attacker_overlap(
-      result.frame(), ports,
-      {agents::Population::kCensysActorId, agents::Population::kShodanActorId});
+      result.frames(), ports,
+      {agents::Population::kCensysActorId, agents::Population::kShodanActorId},
+      result.segment_pager());
   auto cell = [](const std::optional<double>& value) {
     return value ? pct(*value * 100.0, 1) : std::string("x");
   };

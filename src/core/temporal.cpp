@@ -22,15 +22,16 @@ int overlap_band(double fraction) {
 
 std::optional<double> cloud_overlap(const ExperimentResult& result, net::Port port) {
   const auto rows = analysis::scanner_overlap(
-      result.store(), result.deployment(), {port},
-      {agents::Population::kCensysActorId, agents::Population::kShodanActorId});
+      result.frames(), {port},
+      {agents::Population::kCensysActorId, agents::Population::kShodanActorId},
+      result.segment_pager());
   return rows.front().tel_cloud_over_cloud;
 }
 
 std::optional<double> apac_minus_us_similarity(const ExperimentResult& result) {
-  const auto similarity = analysis::geo_similarity(
-      result.store(), result.deployment(), analysis::TrafficScope::kHttpAllPorts,
-      analysis::Characteristic::kTopPayload, result.classifier());
+  const auto similarity =
+      analysis::geo_similarity(result.table_cache(), analysis::TrafficScope::kHttpAllPorts,
+                               analysis::Characteristic::kTopPayload);
   const auto us = static_cast<std::size_t>(analysis::PairGroup::kUs);
   const auto ap = static_cast<std::size_t>(analysis::PairGroup::kApac);
   if (similarity.tested[us] == 0 || similarity.tested[ap] == 0) return std::nullopt;
@@ -41,7 +42,7 @@ std::optional<double> apac_minus_us_similarity(const ExperimentResult& result) {
 std::optional<double> unexpected_share(const ExperimentResult& result, net::Port port) {
   analysis::ProtocolOptions options;
   options.ports = {port};
-  const auto rows = analysis::protocol_breakdown(result.store(), result.deployment(), options);
+  const auto rows = analysis::protocol_breakdown(result.frame(), options);
   if (rows.empty() || rows.front().scanners_total == 0) return std::nullopt;
   return rows.front().pct_unexpected;
 }

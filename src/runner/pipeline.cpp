@@ -33,7 +33,7 @@ std::string RunReport::render() const {
   out += "jobs=" + std::to_string(jobs) +
          "  total wall=" + util::format_double(total_wall_ms, 1) + " ms" +
          "  pipeline wall sum=" + util::format_double(pipeline_wall_ms_sum(), 1) + " ms" +
-         "  speedup=" +
+         "  concurrency=" +
          util::format_double(
              total_wall_ms > 0.0 ? pipeline_wall_ms_sum() / total_wall_ms : 0.0, 2) +
          "x\n";

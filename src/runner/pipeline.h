@@ -46,7 +46,9 @@ struct RunReport {
   std::vector<PipelineMetrics> pipelines;
 
   [[nodiscard]] double pipeline_wall_ms_sum() const;
-  // Text-table summary (per-pipeline wall time, events, output size).
+  // Text-table summary (per-pipeline wall time, events, output size). Its
+  // footer's concurrency= is Σ(pipeline wall) ÷ total wall: how many
+  // pipelines overlapped on average, not a speedup over --jobs 1.
   [[nodiscard]] std::string render() const;
 };
 

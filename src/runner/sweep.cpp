@@ -128,13 +128,8 @@ FindingOutcome extract_t7(const core::ExperimentResult& result,
 FindingOutcome extract_t8(const core::ExperimentResult& result, ThreadPool* pool) {
   FindingOutcome out;
   out.finding = PaperFinding::kT8TelnetIgnoresTelescope;
-  // A spill-mode result has per-segment frames instead of a cumulative one;
-  // the segmented scan unions the same per-port source sets (bit-identical).
-  const auto rows =
-      result.segment_frames().empty()
-          ? analysis::scanner_overlap(result.frame(pool), {22, 23}, crawler_actors())
-          : analysis::scanner_overlap(result.segment_frames(), {22, 23}, crawler_actors(),
-                                      result.segment_pager());
+  const auto rows = analysis::scanner_overlap(result.frames(pool), {22, 23}, crawler_actors(),
+                                             result.segment_pager());
   const auto& ssh = rows[0].tel_cloud_over_cloud;
   const auto& telnet = rows[1].tel_cloud_over_cloud;
   if (!ssh.has_value() || !telnet.has_value()) {
@@ -153,11 +148,8 @@ FindingOutcome extract_t8(const core::ExperimentResult& result, ThreadPool* pool
 FindingOutcome extract_t9(const core::ExperimentResult& result, ThreadPool* pool) {
   FindingOutcome out;
   out.finding = PaperFinding::kT9SshAttackersAvoid;
-  const auto rows =
-      result.segment_frames().empty()
-          ? analysis::attacker_overlap(result.frame(pool), {22, 23}, crawler_actors())
-          : analysis::attacker_overlap(result.segment_frames(), {22, 23}, crawler_actors(),
-                                      result.segment_pager());
+  const auto rows = analysis::attacker_overlap(result.frames(pool), {22, 23}, crawler_actors(),
+                                              result.segment_pager());
   const auto& ssh = rows[0].tel_over_malicious_cloud;
   const auto& telnet = rows[1].tel_over_malicious_cloud;
   if (!ssh.has_value() || !telnet.has_value()) {
@@ -241,12 +233,8 @@ CellFindings extract_findings(const core::ExperimentResult& result,
 
 analysis::ClusterScores extract_clusters(const core::ExperimentResult& result,
                                          const AnalysisOptions& options, ThreadPool* pool) {
-  const auto& segments = result.segment_frames();
-  const analysis::ClusterResult clustered =
-      segments.empty()
-          ? analysis::cluster_attackers(result.frame(pool), options.cluster)
-          : analysis::cluster_attackers(segments, options.cluster, result.segment_pager());
-  return clustered.scores;
+  return analysis::cluster_attackers(result.frames(pool), options.cluster, result.segment_pager())
+      .scores;
 }
 
 namespace {
@@ -283,16 +271,12 @@ std::string render_colocation(const core::ExperimentResult& result,
                               const AnalysisOptions& options, ThreadPool* pool) {
   const auto cities = result.deployment().colocated_clouds();
   std::vector<CityTally> tallies(cities.size());
-  const auto& segments = result.segment_frames();
-  if (segments.empty()) {
-    tally_colocation(result.frame(pool), options.colocation_port, cities, tallies);
-  } else {
-    const analysis::SegmentPager& pager = result.segment_pager();
-    for (std::size_t s = 0; s < segments.size(); ++s) {
-      if (pager) pager(s, true);
-      tally_colocation(*segments[s], options.colocation_port, cities, tallies);
-      if (pager) pager(s, false);
-    }
+  const auto frames = result.frames(pool);
+  const analysis::SegmentPager& pager = result.segment_pager();
+  for (std::size_t s = 0; s < frames.size(); ++s) {
+    if (pager) pager(s, true);
+    tally_colocation(*frames[s], options.colocation_port, cities, tallies);
+    if (pager) pager(s, false);
   }
   std::string out = format("\n### co-location probes (port %u)\n\n",
                            static_cast<unsigned>(options.colocation_port));

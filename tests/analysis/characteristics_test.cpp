@@ -2,16 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "analysis/table_cache.h"
+
 #include "ids/ruleset.h"
 #include "proto/exploits.h"
 #include "proto/payloads.h"
+#include "support/row_scan.h"
 
 namespace cw::analysis {
 namespace {
 
 class CharacteristicsTest : public ::testing::Test {
  protected:
-  CharacteristicsTest() {
+  CharacteristicsTest() : engine_(ids::curated_engine()), classifier_(engine_) {
     topology::VantagePoint vp;
     vp.name = "gn";
     vp.provider = topology::Provider::kAws;
@@ -34,9 +39,24 @@ class CharacteristicsTest : public ::testing::Test {
     store_.append(record, payload, credential);
   }
 
+  // The shipped slices: a table cache over a frame of the records added so
+  // far (built on first use; add nothing after).
+  const CharacteristicTableCache& cache() {
+    if (cache_ == nullptr) {
+      frame_ = std::make_unique<capture::SessionFrame>(
+          rowscan::frame_of(store_, deployment_, &classifier_));
+      cache_ = std::make_unique<CharacteristicTableCache>(*frame_, classifier_);
+    }
+    return *cache_;
+  }
+
   topology::Deployment deployment_;
   capture::EventStore store_;
   std::uint32_t next_src_ = 0;
+  ids::RuleEngine engine_;
+  MaliciousClassifier classifier_;
+  std::unique_ptr<capture::SessionFrame> frame_;
+  std::unique_ptr<CharacteristicTableCache> cache_;
 };
 
 TEST_F(CharacteristicsTest, ScopeSelection) {
@@ -45,27 +65,26 @@ TEST_F(CharacteristicsTest, ScopeSelection) {
   add(8080, 0, 1, proto::http_benign_request(0));
   add(8080, 0, 1, proto::tls_client_hello());  // TLS on 8080: not HTTP/All
 
-  EXPECT_EQ(slice_vantage(store_, 0, TrafficScope::kSsh22).records.size(), 1u);
-  EXPECT_EQ(slice_vantage(store_, 0, TrafficScope::kHttp80).records.size(), 1u);
+  EXPECT_EQ(cache().record_count(0, TrafficScope::kSsh22), 1u);
+  EXPECT_EQ(cache().record_count(0, TrafficScope::kHttp80), 1u);
   // HTTP/All catches HTTP payloads on 80 and 8080, not the TLS one.
-  EXPECT_EQ(slice_vantage(store_, 0, TrafficScope::kHttpAllPorts).records.size(), 2u);
-  EXPECT_EQ(slice_vantage(store_, 0, TrafficScope::kAnyAll).records.size(), 4u);
+  EXPECT_EQ(cache().record_count(0, TrafficScope::kHttpAllPorts), 2u);
+  EXPECT_EQ(cache().record_count(0, TrafficScope::kAnyAll), 4u);
 }
 
 TEST_F(CharacteristicsTest, SliceNeighborSeparates) {
   add(22, 0, 1, proto::ssh_client_banner());
   add(22, 1, 2, proto::ssh_client_banner());
   add(22, 1, 3, proto::ssh_client_banner());
-  EXPECT_EQ(slice_neighbor(store_, 0, 0, TrafficScope::kSsh22).records.size(), 1u);
-  EXPECT_EQ(slice_neighbor(store_, 0, 1, TrafficScope::kSsh22).records.size(), 2u);
+  EXPECT_EQ(cache().record_count(0, TrafficScope::kSsh22, 0), 1u);
+  EXPECT_EQ(cache().record_count(0, TrafficScope::kSsh22, 1), 2u);
 }
 
 TEST_F(CharacteristicsTest, AsTableCountsTraffic) {
   add(22, 0, 4134, proto::ssh_client_banner());
   add(22, 0, 4134, proto::ssh_client_banner());
   add(22, 0, 174, proto::ssh_client_banner());
-  const auto slice = slice_vantage(store_, 0, TrafficScope::kSsh22);
-  const auto table = as_table(slice);
+  const auto& table = cache().table(0, TrafficScope::kSsh22, Characteristic::kTopAs);
   EXPECT_EQ(table.count("AS4134"), 2u);
   EXPECT_EQ(table.count("AS174"), 1u);
   EXPECT_EQ(table.top_k(1).front(), "AS4134");
@@ -76,37 +95,26 @@ TEST_F(CharacteristicsTest, CredentialTables) {
   add(22, 0, 1, proto::ssh_client_banner(), proto::Credential{"root", "admin"});
   add(22, 0, 1, proto::ssh_client_banner(), proto::Credential{"admin", "admin"});
   add(22, 0, 1, proto::ssh_client_banner());  // no credential: skipped
-  const auto slice = slice_vantage(store_, 0, TrafficScope::kSsh22);
-  EXPECT_EQ(username_table(slice).count("root"), 2u);
-  EXPECT_EQ(username_table(slice).count("admin"), 1u);
-  EXPECT_EQ(password_table(slice).count("admin"), 2u);
-  EXPECT_EQ(username_table(slice).total(), 3u);
+  const auto& usernames = cache().table(0, TrafficScope::kSsh22, Characteristic::kTopUsername);
+  const auto& passwords = cache().table(0, TrafficScope::kSsh22, Characteristic::kTopPassword);
+  EXPECT_EQ(usernames.count("root"), 2u);
+  EXPECT_EQ(usernames.count("admin"), 1u);
+  EXPECT_EQ(passwords.count("admin"), 2u);
+  EXPECT_EQ(usernames.total(), 3u);
 }
 
 TEST_F(CharacteristicsTest, PayloadTableNormalizesHttp) {
   add(80, 0, 1, "GET /x HTTP/1.1\r\nHost: a\r\n\r\n");
   add(80, 0, 1, "GET /x HTTP/1.1\r\nHost: b\r\n\r\n");  // same after normalization
-  const auto slice = slice_vantage(store_, 0, TrafficScope::kHttp80);
-  const auto table = payload_table(slice);
+  const auto& table = cache().table(0, TrafficScope::kHttp80, Characteristic::kTopPayload);
   EXPECT_EQ(table.distinct(), 1u);
   EXPECT_EQ(table.total(), 2u);
 }
 
-TEST_F(CharacteristicsTest, UniqueCountsDeduplicate) {
-  add(22, 0, 4134, proto::ssh_client_banner());
-  add(22, 0, 4134, proto::ssh_client_banner());
-  const auto slice = slice_vantage(store_, 0, TrafficScope::kSsh22);
-  EXPECT_EQ(unique_sources(slice), 2u);  // distinct src per add()
-  EXPECT_EQ(unique_ases(slice), 1u);
-}
-
 TEST_F(CharacteristicsTest, MaliciousCountsViaClassifier) {
-  const ids::RuleEngine engine = ids::curated_engine();
-  const MaliciousClassifier classifier(engine);
   add(80, 0, 1, proto::exploit_payload(proto::ExploitKind::kLog4Shell, 0));
   add(80, 0, 1, proto::http_benign_request(0));
-  const auto slice = slice_vantage(store_, 0, TrafficScope::kHttp80);
-  const auto [malicious, benign] = malicious_counts(slice, classifier);
+  const auto [malicious, benign] = cache().malicious(0, TrafficScope::kHttp80);
   EXPECT_EQ(malicious, 1u);
   EXPECT_EQ(benign, 1u);
 }

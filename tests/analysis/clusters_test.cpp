@@ -74,7 +74,7 @@ TEST_F(ClustersTest, TwoDistinctFamiliesSeparatePerfectly) {
   add_family_a(store_);
   add_family_b(store_);
   const capture::SessionFrame frame = frame_of(store_);
-  const ClusterResult result = cluster_attackers(frame);
+  const ClusterResult result = cluster_attackers({&frame});
   EXPECT_EQ(result.scores.entities, 8u);
   EXPECT_EQ(result.scores.clusters, 2u);
   EXPECT_EQ(result.scores.truth_actors, 2u);
@@ -93,8 +93,8 @@ TEST_F(ClustersTest, AssignmentsAreDeterministic) {
   add_family_a(store_);
   add_family_b(store_);
   const capture::SessionFrame frame = frame_of(store_);
-  const ClusterResult first = cluster_attackers(frame);
-  const ClusterResult second = cluster_attackers(frame);
+  const ClusterResult first = cluster_attackers({&frame});
+  const ClusterResult second = cluster_attackers({&frame});
   EXPECT_EQ(first.scores.assignment_fnv, second.scores.assignment_fnv);
   EXPECT_EQ(first.assignment, second.assignment);
   EXPECT_NE(first.scores.assignment_fnv, 0u);
@@ -113,7 +113,8 @@ TEST_F(ClustersTest, MinRecordsFilterDropsThinSources) {
   }
   ClusterOptions options;
   options.min_records = 4;
-  const ClusterResult result = cluster_attackers(frame_of(store_), options);
+  const capture::SessionFrame frame = frame_of(store_);
+  const ClusterResult result = cluster_attackers({&frame}, options);
   EXPECT_EQ(result.scores.entities, 4u);
   for (const std::uint32_t src : result.sources) EXPECT_NE(src, 99u);
 }
@@ -123,7 +124,8 @@ TEST_F(ClustersTest, ExcludedActorsDoNotBecomeEntities) {
   add_family_b(store_);
   ClusterOptions options;
   options.exclude_actors = {10};
-  const ClusterResult result = cluster_attackers(frame_of(store_), options);
+  const capture::SessionFrame frame = frame_of(store_);
+  const ClusterResult result = cluster_attackers({&frame}, options);
   EXPECT_EQ(result.scores.entities, 4u);
   EXPECT_EQ(result.scores.truth_actors, 1u);
   for (const capture::ActorId actor : result.truth) EXPECT_EQ(actor, 20);
@@ -147,7 +149,7 @@ TEST_F(ClustersTest, SegmentedMatchesCumulative) {
   const capture::SessionFrame segment_a = frame_of(first_epoch);
   const capture::SessionFrame segment_b = frame_of(second_epoch);
 
-  const ClusterResult whole = cluster_attackers(cumulative);
+  const ClusterResult whole = cluster_attackers({&cumulative});
   const ClusterResult split = cluster_attackers({&segment_a, &segment_b});
   EXPECT_EQ(whole.sources, split.sources);
   EXPECT_EQ(whole.assignment, split.assignment);
@@ -157,7 +159,8 @@ TEST_F(ClustersTest, SegmentedMatchesCumulative) {
 }
 
 TEST_F(ClustersTest, EmptyFrameYieldsEmptyResult) {
-  const ClusterResult result = cluster_attackers(frame_of(store_));
+  const capture::SessionFrame frame = frame_of(store_);
+  const ClusterResult result = cluster_attackers({&frame});
   EXPECT_EQ(result.scores.entities, 0u);
   EXPECT_EQ(result.scores.clusters, 0u);
   EXPECT_DOUBLE_EQ(result.scores.purity, 0.0);
@@ -177,13 +180,13 @@ TEST(ClustersAcceptance, GroundTruthFamiliesRecoverActorIdentity) {
   ClusterOptions options;
   options.exclude_actors = {agents::Population::kCensysActorId,
                             agents::Population::kShodanActorId};
-  const ClusterResult clustered = cluster_attackers(result->frame(), options);
+  const ClusterResult clustered = cluster_attackers(result->frames(), options);
   EXPECT_GE(clustered.scores.entities, 50u);
   EXPECT_EQ(clustered.scores.truth_actors, 8u);
   EXPECT_GE(clustered.scores.purity, 0.9);
   EXPECT_GE(clustered.scores.ari, 0.9);
   // Same frame, same options: the digest proves assignment reproducibility.
-  EXPECT_EQ(cluster_attackers(result->frame(), options).scores.assignment_fnv,
+  EXPECT_EQ(cluster_attackers(result->frames(), options).scores.assignment_fnv,
             clustered.scores.assignment_fnv);
 }
 

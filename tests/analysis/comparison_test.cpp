@@ -5,6 +5,7 @@
 #include "ids/ruleset.h"
 #include "proto/exploits.h"
 #include "proto/payloads.h"
+#include "support/row_scan.h"
 
 namespace cw::analysis {
 namespace {
@@ -13,85 +14,93 @@ class ComparisonTest : public ::testing::Test {
  protected:
   ComparisonTest() : engine_(ids::curated_engine()), classifier_(engine_) {}
 
-  // Builds a slice with `benign` benign HTTP records from `asn_a` and
+  using Key = CharacteristicTableCache::SliceKey;
+
+  // A fresh synthetic vantage point; its HTTP/80 records form one group.
+  Key add_vantage() {
+    topology::VantagePoint vp;
+    vp.name = "v" + std::to_string(deployment_.size());
+    vp.provider = topology::Provider::kAws;
+    vp.type = topology::NetworkType::kCloud;
+    vp.collection = topology::CollectionMethod::kGreyNoise;
+    vp.region = net::make_region("US", "CA");
+    vp.addresses = {net::IPv4Addr(3, 0, static_cast<std::uint8_t>(deployment_.size()), 1)};
+    deployment_.add(std::move(vp));
+    return {static_cast<topology::VantageId>(deployment_.size() - 1)};
+  }
+
+  void add(const Key& key, net::Asn asn, const std::string& payload) {
+    capture::SessionRecord record;
+    record.vantage = key.vantage;
+    record.port = 80;
+    record.src_as = asn;
+    store_.append(record, payload, std::nullopt);
+  }
+
+  // Builds a group with `benign` benign HTTP records from `asn_a` and
   // `malicious` exploit records from `asn_b`, all on one synthetic vantage.
-  TrafficSlice make_slice(int benign, int malicious, net::Asn asn_a, net::Asn asn_b) {
-    TrafficSlice slice;
-    slice.store = &store_;
-    for (int i = 0; i < benign; ++i) {
-      capture::SessionRecord record;
-      record.port = 80;
-      record.src_as = asn_a;
-      store_.append(record, proto::http_benign_request(0), std::nullopt);
-      slice.records.push_back(static_cast<std::uint32_t>(store_.size() - 1));
-    }
+  Key make_slice(int benign, int malicious, net::Asn asn_a, net::Asn asn_b) {
+    const Key key = add_vantage();
+    for (int i = 0; i < benign; ++i) add(key, asn_a, proto::http_benign_request(0));
     for (int i = 0; i < malicious; ++i) {
-      capture::SessionRecord record;
-      record.port = 80;
-      record.src_as = asn_b;
-      store_.append(record, proto::exploit_payload(proto::ExploitKind::kLog4Shell, 1),
-                    std::nullopt);
-      slice.records.push_back(static_cast<std::uint32_t>(store_.size() - 1));
+      add(key, asn_b, proto::exploit_payload(proto::ExploitKind::kLog4Shell, 1));
     }
-    return slice;
+    return key;
+  }
+
+  // The shipped driver over a table cache of everything added so far.
+  stats::SignificanceTest compare(const std::vector<Key>& groups,
+                                  Characteristic characteristic) {
+    const capture::SessionFrame frame = rowscan::frame_of(store_, deployment_, &classifier_);
+    const CharacteristicTableCache cache(frame, classifier_);
+    return compare_characteristic(cache, groups, TrafficScope::kHttp80, characteristic,
+                                  CompareOptions{});
   }
 
   ids::RuleEngine engine_;
   MaliciousClassifier classifier_;
+  topology::Deployment deployment_;
   capture::EventStore store_;
 };
 
 TEST_F(ComparisonTest, TopAsIdenticalGroupsNotSignificant) {
-  const TrafficSlice a = make_slice(100, 100, 1, 2);
-  const TrafficSlice b = make_slice(100, 100, 1, 2);
-  const auto test =
-      compare_characteristic({a, b}, Characteristic::kTopAs, &classifier_, CompareOptions{});
+  const Key a = make_slice(100, 100, 1, 2);
+  const Key b = make_slice(100, 100, 1, 2);
+  const auto test = compare({a, b}, Characteristic::kTopAs);
   ASSERT_TRUE(test.chi.valid);
   EXPECT_FALSE(test.significant);
 }
 
 TEST_F(ComparisonTest, TopAsDisjointGroupsSignificant) {
-  const TrafficSlice a = make_slice(200, 0, 1, 2);
-  const TrafficSlice b = make_slice(0, 200, 3, 4);
-  const auto test =
-      compare_characteristic({a, b}, Characteristic::kTopAs, &classifier_, CompareOptions{});
+  const Key a = make_slice(200, 0, 1, 2);
+  const Key b = make_slice(0, 200, 3, 4);
+  const auto test = compare({a, b}, Characteristic::kTopAs);
   ASSERT_TRUE(test.chi.valid);
   EXPECT_TRUE(test.significant);
   EXPECT_EQ(test.magnitude, stats::EffectMagnitude::kLarge);
 }
 
 TEST_F(ComparisonTest, FracMaliciousDetectsRateDifference) {
-  const TrafficSlice mostly_benign = make_slice(300, 20, 1, 1);
-  const TrafficSlice mostly_malicious = make_slice(20, 300, 1, 1);
-  const auto test = compare_characteristic({mostly_benign, mostly_malicious},
-                                           Characteristic::kFracMalicious, &classifier_,
-                                           CompareOptions{});
+  const Key mostly_benign = make_slice(300, 20, 1, 1);
+  const Key mostly_malicious = make_slice(20, 300, 1, 1);
+  const auto test = compare({mostly_benign, mostly_malicious}, Characteristic::kFracMalicious);
   ASSERT_TRUE(test.chi.valid);
   EXPECT_TRUE(test.significant);
 }
 
 TEST_F(ComparisonTest, FracMaliciousSameRateNotSignificant) {
-  const TrafficSlice a = make_slice(100, 50, 1, 1);
-  const TrafficSlice b = make_slice(200, 100, 1, 1);
-  const auto test = compare_characteristic({a, b}, Characteristic::kFracMalicious, &classifier_,
-                                           CompareOptions{});
+  const Key a = make_slice(100, 50, 1, 1);
+  const Key b = make_slice(200, 100, 1, 1);
+  const auto test = compare({a, b}, Characteristic::kFracMalicious);
   ASSERT_TRUE(test.chi.valid);
   EXPECT_FALSE(test.significant);
 }
 
 TEST_F(ComparisonTest, PayloadComparisonSeparatesCampaigns) {
-  const TrafficSlice a = make_slice(0, 150, 1, 1);  // log4shell campaign
-  TrafficSlice b;
-  b.store = &store_;
-  for (int i = 0; i < 150; ++i) {
-    capture::SessionRecord record;
-    record.port = 80;
-    record.src_as = 1;
-    store_.append(record, proto::exploit_payload(proto::ExploitKind::kGponRce, 2), std::nullopt);
-    b.records.push_back(static_cast<std::uint32_t>(store_.size() - 1));
-  }
-  const auto test = compare_characteristic({a, b}, Characteristic::kTopPayload, &classifier_,
-                                           CompareOptions{});
+  const Key a = make_slice(0, 150, 1, 1);  // log4shell campaign
+  const Key b = add_vantage();
+  for (int i = 0; i < 150; ++i) add(b, 1, proto::exploit_payload(proto::ExploitKind::kGponRce, 2));
+  const auto test = compare({a, b}, Characteristic::kTopPayload);
   ASSERT_TRUE(test.chi.valid);
   EXPECT_TRUE(test.significant);
 }

@@ -1,8 +1,10 @@
-// The SessionFrame refactor's contract: every frame-backed analysis is
-// row-for-row and bit-for-bit equivalent to the store-scanning original.
-// One small (but real) experiment, each pipeline run both ways, results
-// compared exactly — doubles included, since both paths must accumulate in
-// the same order.
+// The analysis contract: every shipped entry point — the comparison drivers
+// over the frame's CharacteristicTableCache, the scans over the frame list —
+// is row-for-row and bit-for-bit equivalent to the row-scan oracle
+// (support/row_scan.h), which reads the store record by record. One small
+// (but real) experiment, each analysis run both ways, results compared
+// exactly — doubles included, since both paths must accumulate in the same
+// order.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,7 +12,6 @@
 #include <vector>
 
 #include "analysis/campaigns.h"
-#include "analysis/characteristics.h"
 #include "analysis/geography.h"
 #include "analysis/neighborhood.h"
 #include "analysis/network.h"
@@ -19,8 +20,14 @@
 #include "analysis/structure.h"
 #include "core/experiment.h"
 #include "runner/thread_pool.h"
+#include "support/row_scan.h"
 
 namespace cw::analysis {
+
+// gtest prints a test parameter through an ADL-found PrintTo; without one a
+// TrafficScope prints as raw bytes in the test listing.
+static void PrintTo(TrafficScope scope, std::ostream* os) { *os << scope_name(scope); }
+
 namespace {
 
 const core::ExperimentResult& experiment() {
@@ -38,6 +45,17 @@ constexpr TrafficScope kAllScopes[] = {TrafficScope::kSsh22, TrafficScope::kTeln
                                        TrafficScope::kHttp80, TrafficScope::kHttpAllPorts,
                                        TrafficScope::kAnyAll};
 
+constexpr Characteristic kAllCharacteristics[] = {
+    Characteristic::kTopAs, Characteristic::kFracMalicious, Characteristic::kTopUsername,
+    Characteristic::kTopPassword, Characteristic::kTopPayload};
+
+// The oracle cache: the same query surface as result.table_cache(),
+// answered by per-record scans of the store.
+const rowscan::RowScanTableCache& oracle_cache() {
+  static const rowscan::RowScanTableCache cache(experiment().frame(), experiment().classifier());
+  return cache;
+}
+
 class FrameSliceEquivalence : public ::testing::TestWithParam<TrafficScope> {};
 
 TEST_P(FrameSliceEquivalence, InScopeAgreesPerRecord) {
@@ -45,41 +63,38 @@ TEST_P(FrameSliceEquivalence, InScopeAgreesPerRecord) {
   const capture::SessionFrame& frame = result.frame();
   const capture::EventStore& store = result.store();
   for (std::uint32_t i = 0; i < frame.size(); ++i) {
-    ASSERT_EQ(in_scope(store.records()[i], GetParam(), store), in_scope(frame, i, GetParam()))
+    ASSERT_EQ(rowscan::in_scope(store.records()[i], GetParam(), store),
+              in_scope(frame, i, GetParam()))
         << "record " << i;
   }
 }
 
 TEST_P(FrameSliceEquivalence, VantageAndNeighborSlicesMatchBothWays) {
   const auto& result = experiment();
-  const capture::SessionFrame& frame = result.frame();
-  const capture::EventStore& store = result.store();
+  const CharacteristicTableCache& cache = result.table_cache();
+  const rowscan::RowScanTableCache& oracle = oracle_cache();
   for (const topology::VantagePoint& vp : result.deployment().vantage_points()) {
-    const TrafficSlice from_store = slice_vantage(store, vp.id, GetParam());
-    const TrafficSlice from_frame = slice_vantage(frame, vp.id, GetParam());
-    // Identical index vectors cover both directions: no row the store scan
-    // finds is missing from the posting list, and vice versa.
-    ASSERT_EQ(from_store.records, from_frame.records) << vp.name;
-    EXPECT_EQ(from_frame.frame, &frame);
-
+    // Equal sizes and equal per-slice tables (table_cache_test) cover both
+    // directions: no row the store scan finds is missing from the frame
+    // slice, and vice versa.
+    ASSERT_EQ(cache.record_count(vp.id, GetParam()), oracle.record_count(vp.id, GetParam()))
+        << vp.name;
     for (std::uint16_t n = 0; n < vp.addresses.size(); ++n) {
-      ASSERT_EQ(slice_neighbor(store, vp.id, n, GetParam()).records,
-                slice_neighbor(frame, vp.id, n, GetParam()).records)
+      ASSERT_EQ(cache.record_count(vp.id, GetParam(), n),
+                oracle.record_count(vp.id, GetParam(), n))
           << vp.name << " neighbor " << n;
     }
-    // malicious_counts reads the verdict column on the frame path.
-    EXPECT_EQ(malicious_counts(from_store, result.classifier()),
-              malicious_counts(from_frame, result.classifier()));
+    // The frame cache reads the verdict column; the oracle classifies.
+    EXPECT_EQ(cache.malicious(vp.id, GetParam()), oracle.malicious(vp.id, GetParam()));
   }
 }
 
 TEST_P(FrameSliceEquivalence, NeighborhoodSummariesMatch) {
   const auto& result = experiment();
-  for (const Characteristic characteristic : characteristics_for_scope(GetParam())) {
-    const NeighborhoodSummary a = analyze_neighborhoods(
-        result.store(), result.deployment(), GetParam(), characteristic, result.classifier());
+  for (const Characteristic characteristic : kAllCharacteristics) {
+    const NeighborhoodSummary a = analyze_neighborhoods(oracle_cache(), GetParam(), characteristic);
     const NeighborhoodSummary b =
-        analyze_neighborhoods(result.frame(), GetParam(), characteristic, result.classifier());
+        analyze_neighborhoods(result.table_cache(), GetParam(), characteristic);
     EXPECT_EQ(a.neighborhoods_tested, b.neighborhoods_tested);
     EXPECT_EQ(a.neighborhoods_different, b.neighborhoods_different);
     EXPECT_EQ(a.pct_different, b.pct_different);
@@ -90,11 +105,9 @@ TEST_P(FrameSliceEquivalence, NeighborhoodSummariesMatch) {
 
 TEST_P(FrameSliceEquivalence, GeoSimilarityMatches) {
   const auto& result = experiment();
-  for (const Characteristic characteristic : characteristics_for_scope(GetParam())) {
-    const GeoSimilarity a = geo_similarity(result.store(), result.deployment(), GetParam(),
-                                           characteristic, result.classifier());
-    const GeoSimilarity b =
-        geo_similarity(result.frame(), GetParam(), characteristic, result.classifier());
+  for (const Characteristic characteristic : kAllCharacteristics) {
+    const GeoSimilarity a = geo_similarity(oracle_cache(), GetParam(), characteristic);
+    const GeoSimilarity b = geo_similarity(result.table_cache(), GetParam(), characteristic);
     EXPECT_EQ(a.tested, b.tested);
     EXPECT_EQ(a.similar, b.similar);
   }
@@ -114,8 +127,9 @@ INSTANTIATE_TEST_SUITE_P(AllScopes, FrameSliceEquivalence, ::testing::ValuesIn(k
 
 TEST(FrameEquivalence, ScannerOverlapMatches) {
   const auto& result = experiment();
-  const auto a = scanner_overlap(result.store(), result.deployment(), net::popular_ports());
-  const auto b = scanner_overlap(result.frame(), net::popular_ports());
+  const auto a = rowscan::scanner_overlap(result.store(), result.deployment(),
+                                          net::popular_ports());
+  const auto b = scanner_overlap(result.frames(), net::popular_ports());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].port, b[i].port);
@@ -131,8 +145,9 @@ TEST(FrameEquivalence, ScannerOverlapMatches) {
 TEST(FrameEquivalence, AttackerOverlapMatches) {
   const auto& result = experiment();
   const std::vector<net::Port> ports = {23, 2323, 80, 8080, 2222, 22};
-  const auto a = attacker_overlap(result.store(), result.deployment(), result.classifier(), ports);
-  const auto b = attacker_overlap(result.frame(), ports);
+  const auto a = rowscan::attacker_overlap(result.store(), result.deployment(),
+                                           result.classifier(), ports);
+  const auto b = attacker_overlap(result.frames(), ports);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].port, b[i].port);
@@ -147,7 +162,7 @@ TEST(FrameEquivalence, ProtocolBreakdownMatches) {
   const auto& result = experiment();
   ProtocolOptions options;
   options.oracle = &result.oracle();
-  const auto a = protocol_breakdown(result.store(), result.deployment(), options);
+  const auto a = rowscan::protocol_breakdown(result.store(), result.deployment(), options);
   const auto b = protocol_breakdown(result.frame(), options);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -174,22 +189,24 @@ TEST(FrameEquivalence, CompareVantagePairsMatchesSequentialAndSharded) {
   runner::ThreadPool pool(4);
   for (const auto& pairs : {telescope_cloud_pairs(result.deployment()),
                             telescope_edu_pairs(result.deployment()),
-                            cloud_cloud_pairs(result.deployment())}) {
+                            cloud_cloud_pairs(result.deployment()),
+                            cloud_edu_pairs(result.deployment()),
+                            edu_edu_pairs(result.deployment())}) {
     for (const TrafficScope scope : kAllScopes) {
-      const NetworkComparison a =
-          compare_vantage_pairs(result.store(), result.deployment(), pairs, scope,
-                                Characteristic::kTopAs, result.classifier());
-      const NetworkComparison b = compare_vantage_pairs(
-          result.frame(), pairs, scope, Characteristic::kTopAs, result.classifier());
-      const NetworkComparison c =
-          compare_vantage_pairs(result.frame(), pairs, scope, Characteristic::kTopAs,
-                                result.classifier(), NetworkOptions{}, &pool);
-      for (const NetworkComparison* other : {&b, &c}) {
-        EXPECT_EQ(a.measurable, other->measurable);
-        EXPECT_EQ(a.pairs_tested, other->pairs_tested);
-        EXPECT_EQ(a.pairs_different, other->pairs_different);
-        EXPECT_EQ(a.avg_phi, other->avg_phi);
-        EXPECT_EQ(a.strongest, other->strongest);
+      for (const Characteristic characteristic : kAllCharacteristics) {
+        const NetworkComparison a =
+            compare_vantage_pairs(oracle_cache(), pairs, scope, characteristic);
+        const NetworkComparison b =
+            compare_vantage_pairs(result.table_cache(), pairs, scope, characteristic);
+        const NetworkComparison c = compare_vantage_pairs(result.table_cache(), pairs, scope,
+                                                          characteristic, NetworkOptions{}, &pool);
+        for (const NetworkComparison* other : {&b, &c}) {
+          EXPECT_EQ(a.measurable, other->measurable);
+          EXPECT_EQ(a.pairs_tested, other->pairs_tested);
+          EXPECT_EQ(a.pairs_different, other->pairs_different);
+          EXPECT_EQ(a.avg_phi, other->avg_phi);
+          EXPECT_EQ(a.strongest, other->strongest);
+        }
       }
     }
   }
@@ -219,7 +236,7 @@ TEST(FrameEquivalence, CampaignInferenceMatches) {
 TEST(FrameEquivalence, TelescopeAddressCountsMatch) {
   const auto& result = experiment();
   for (const net::Port port : {net::Port{23}, net::Port{80}}) {
-    EXPECT_EQ(telescope_address_counts(result.store(), result.deployment(), port),
+    EXPECT_EQ(rowscan::telescope_address_counts(result.store(), result.deployment(), port),
               telescope_address_counts(result.frame(), port));
   }
 }
@@ -228,17 +245,19 @@ TEST(FrameEquivalence, MostDifferentRegionMatches) {
   const auto& result = experiment();
   for (const topology::Provider provider :
        {topology::Provider::kAws, topology::Provider::kGoogle, topology::Provider::kLinode}) {
-    const MostDifferentRegion a =
-        most_different_region(result.store(), result.deployment(), provider,
-                              TrafficScope::kSsh22, Characteristic::kTopAs, result.classifier());
-    const MostDifferentRegion b = most_different_region(
-        result.frame(), provider, TrafficScope::kSsh22, Characteristic::kTopAs,
-        result.classifier());
-    EXPECT_EQ(a.any_significant, b.any_significant);
-    EXPECT_EQ(a.region_code, b.region_code);
-    EXPECT_EQ(a.avg_phi, b.avg_phi);
-    EXPECT_EQ(a.magnitude, b.magnitude);
-    EXPECT_EQ(a.significant_pairs, b.significant_pairs);
+    for (const TrafficScope scope : kAllScopes) {
+      for (const Characteristic characteristic : kAllCharacteristics) {
+        const MostDifferentRegion a =
+            most_different_region(oracle_cache(), provider, scope, characteristic);
+        const MostDifferentRegion b =
+            most_different_region(result.table_cache(), provider, scope, characteristic);
+        EXPECT_EQ(a.any_significant, b.any_significant);
+        EXPECT_EQ(a.region_code, b.region_code);
+        EXPECT_EQ(a.avg_phi, b.avg_phi);
+        EXPECT_EQ(a.magnitude, b.magnitude);
+        EXPECT_EQ(a.significant_pairs, b.significant_pairs);
+      }
+    }
   }
 }
 

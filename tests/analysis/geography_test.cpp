@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "ids/ruleset.h"
 #include "proto/exploits.h"
 #include "proto/payloads.h"
+#include "support/row_scan.h"
 
 namespace cw::analysis {
 namespace {
@@ -75,17 +78,22 @@ class GeoAnalysisTest : public ::testing::Test {
       store_.append(record, proto::exploit_payload(proto::ExploitKind::kGponRce, 9),
                     std::nullopt);
     }
+    frame_ = std::make_unique<capture::SessionFrame>(
+        rowscan::frame_of(store_, deployment_, &classifier_));
+    cache_ = std::make_unique<CharacteristicTableCache>(*frame_, classifier_);
   }
 
   topology::Deployment deployment_;
   capture::EventStore store_;
   ids::RuleEngine engine_;
   MaliciousClassifier classifier_;
+  std::unique_ptr<capture::SessionFrame> frame_;
+  std::unique_ptr<CharacteristicTableCache> cache_;
 };
 
 TEST_F(GeoAnalysisTest, SimilarityFindsApDivergence) {
-  const GeoSimilarity similarity = geo_similarity(store_, deployment_, TrafficScope::kHttp80,
-                                                  Characteristic::kTopPayload, classifier_);
+  const GeoSimilarity similarity = geo_similarity(*cache_, TrafficScope::kHttp80,
+                                                  Characteristic::kTopPayload);
   // One US pair (similar), two intercontinental pairs (US-SG: different).
   EXPECT_EQ(similarity.tested[static_cast<std::size_t>(PairGroup::kUs)], 1u);
   EXPECT_EQ(similarity.similar[static_cast<std::size_t>(PairGroup::kUs)], 1u);
@@ -95,8 +103,8 @@ TEST_F(GeoAnalysisTest, SimilarityFindsApDivergence) {
 
 TEST_F(GeoAnalysisTest, MostDifferentRegionIsSingapore) {
   const MostDifferentRegion most =
-      most_different_region(store_, deployment_, topology::Provider::kAws,
-                            TrafficScope::kHttp80, Characteristic::kTopPayload, classifier_);
+      most_different_region(*cache_, topology::Provider::kAws, TrafficScope::kHttp80,
+                            Characteristic::kTopPayload);
   ASSERT_TRUE(most.any_significant);
   EXPECT_EQ(most.region_code, "AP-SG");
   EXPECT_EQ(most.significant_pairs, 2u);
@@ -108,8 +116,8 @@ TEST_F(GeoAnalysisTest, NoSignificanceWithoutDivergence) {
   // only regions are those (simulate by comparing a characteristic on which
   // they are identical).
   const MostDifferentRegion most =
-      most_different_region(store_, deployment_, topology::Provider::kGoogle,
-                            TrafficScope::kHttp80, Characteristic::kTopPayload, classifier_);
+      most_different_region(*cache_, topology::Provider::kGoogle, TrafficScope::kHttp80,
+                            Characteristic::kTopPayload);
   EXPECT_FALSE(most.any_significant);  // no Google vantage points at all
 }
 
@@ -117,8 +125,7 @@ TEST_F(GeoAnalysisTest, MinRecordsFilterSkipsThinVantages) {
   GeoOptions options;
   options.min_records = 100000;  // nothing qualifies
   const GeoSimilarity similarity =
-      geo_similarity(store_, deployment_, TrafficScope::kHttp80, Characteristic::kTopPayload,
-                     classifier_, options);
+      geo_similarity(*cache_, TrafficScope::kHttp80, Characteristic::kTopPayload, options);
   for (std::size_t g = 0; g < kPairGroupCount; ++g) EXPECT_EQ(similarity.tested[g], 0u);
 }
 

@@ -4,6 +4,7 @@
 
 #include "ids/ruleset.h"
 #include "proto/payloads.h"
+#include "support/row_scan.h"
 
 namespace cw::analysis {
 namespace {
@@ -72,6 +73,15 @@ class NetworkCompareTest : public ::testing::Test {
     }
   }
 
+  // The shipped driver over a table cache of the store filled above.
+  NetworkComparison compare(
+      const std::vector<std::pair<topology::VantageId, topology::VantageId>>& pairs,
+      TrafficScope scope, Characteristic characteristic, const NetworkOptions& options = {}) {
+    const capture::SessionFrame frame = rowscan::frame_of(store_, deployment_, &classifier_);
+    const CharacteristicTableCache cache(frame, classifier_);
+    return compare_vantage_pairs(cache, pairs, scope, characteristic, options);
+  }
+
   topology::Deployment deployment_;
   capture::EventStore store_;
   ids::RuleEngine engine_;
@@ -85,9 +95,8 @@ TEST_F(NetworkCompareTest, IdenticalVantagesNotDifferent) {
   fill(1, 174, 100);
   NetworkOptions options;
   options.family_scale = 1;
-  const auto comparison = compare_vantage_pairs(store_, deployment_, {{0, 1}},
-                                                TrafficScope::kHttp80,
-                                                Characteristic::kTopAs, classifier_, options);
+  const auto comparison = compare({{0, 1}}, TrafficScope::kHttp80,
+                                                Characteristic::kTopAs, options);
   EXPECT_TRUE(comparison.measurable);
   EXPECT_EQ(comparison.pairs_tested, 1u);
   EXPECT_EQ(comparison.pairs_different, 0u);
@@ -98,9 +107,8 @@ TEST_F(NetworkCompareTest, DisjointAsMixesAreDifferent) {
   fill(1, 174, 300);
   NetworkOptions options;
   options.family_scale = 1;
-  const auto comparison = compare_vantage_pairs(store_, deployment_, {{0, 1}},
-                                                TrafficScope::kHttp80,
-                                                Characteristic::kTopAs, classifier_, options);
+  const auto comparison = compare({{0, 1}}, TrafficScope::kHttp80,
+                                                Characteristic::kTopAs, options);
   EXPECT_EQ(comparison.pairs_different, 1u);
   EXPECT_GT(comparison.avg_phi, 0.9);
   EXPECT_EQ(comparison.strongest, stats::EffectMagnitude::kLarge);
@@ -117,12 +125,8 @@ TEST_F(NetworkCompareTest, StudyWideFamilySuppressesBorderlineDifferences) {
   lenient.family_scale = 1;
   NetworkOptions strict;
   strict.family_scale = 1000;
-  const auto loose = compare_vantage_pairs(store_, deployment_, {{0, 1}},
-                                           TrafficScope::kHttp80, Characteristic::kTopAs,
-                                           classifier_, lenient);
-  const auto corrected = compare_vantage_pairs(store_, deployment_, {{0, 1}},
-                                               TrafficScope::kHttp80, Characteristic::kTopAs,
-                                               classifier_, strict);
+  const auto loose = compare({{0, 1}}, TrafficScope::kHttp80, Characteristic::kTopAs, lenient);
+  const auto corrected = compare({{0, 1}}, TrafficScope::kHttp80, Characteristic::kTopAs, strict);
   EXPECT_EQ(loose.pairs_different, 1u);
   EXPECT_EQ(corrected.pairs_different, 0u);
 }
@@ -130,9 +134,8 @@ TEST_F(NetworkCompareTest, StudyWideFamilySuppressesBorderlineDifferences) {
 TEST_F(NetworkCompareTest, UnmeasurableCharacteristicShortCircuits) {
   fill(0, 4134, 100);
   fill(2, 4134, 100);
-  const auto comparison = compare_vantage_pairs(store_, deployment_, {{0, 2}},
-                                                TrafficScope::kSsh22,
-                                                Characteristic::kTopUsername, classifier_);
+  const auto comparison = compare({{0, 2}}, TrafficScope::kSsh22,
+                                                Characteristic::kTopUsername);
   EXPECT_FALSE(comparison.measurable);
   EXPECT_EQ(comparison.pairs_tested, 0u);
 }
@@ -140,9 +143,8 @@ TEST_F(NetworkCompareTest, UnmeasurableCharacteristicShortCircuits) {
 TEST_F(NetworkCompareTest, ThinSlicesAreSkipped) {
   fill(0, 4134, 3);
   fill(1, 174, 3);
-  const auto comparison = compare_vantage_pairs(store_, deployment_, {{0, 1}},
-                                                TrafficScope::kHttp80,
-                                                Characteristic::kTopAs, classifier_);
+  const auto comparison = compare({{0, 1}}, TrafficScope::kHttp80,
+                                                Characteristic::kTopAs);
   EXPECT_EQ(comparison.pairs_tested, 0u);
 }
 

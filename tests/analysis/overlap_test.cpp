@@ -5,6 +5,7 @@
 #include "ids/ruleset.h"
 #include "proto/exploits.h"
 #include "proto/payloads.h"
+#include "support/row_scan.h"
 
 namespace cw::analysis {
 namespace {
@@ -47,6 +48,17 @@ class OverlapTest : public ::testing::Test {
     }
   }
 
+  // The shipped scans over the one-frame list of the store built above.
+  std::vector<OverlapRow> scanner(const std::vector<net::Port>& ports,
+                                  const std::vector<capture::ActorId>& exclude = {}) {
+    const capture::SessionFrame frame = rowscan::frame_of(store_, deployment_);
+    return scanner_overlap({&frame}, ports, exclude);
+  }
+  std::vector<MaliciousOverlapRow> attacker(const std::vector<net::Port>& ports) {
+    const capture::SessionFrame frame = rowscan::frame_of(store_, deployment_, &classifier_);
+    return attacker_overlap({&frame}, ports);
+  }
+
   topology::Deployment deployment_;
   capture::EventStore store_;
   ids::RuleEngine engine_;
@@ -60,7 +72,7 @@ TEST_F(OverlapTest, ExactFractions) {
   // EDU port 22: sources 1, 9.
   for (std::uint32_t src : {1u, 9u}) add(1, 22, src, "SSH-2.0-x\r\n");
 
-  const auto rows = scanner_overlap(store_, deployment_, {22});
+  const auto rows = scanner({22});
   ASSERT_EQ(rows.size(), 1u);
   const OverlapRow& row = rows[0];
   EXPECT_EQ(row.cloud_ips, 4u);
@@ -76,7 +88,7 @@ TEST_F(OverlapTest, ExactFractions) {
 
 TEST_F(OverlapTest, EmptyDenominatorsYieldNullopt) {
   add(2, 443, 7);  // telescope only
-  const auto rows = scanner_overlap(store_, deployment_, {443});
+  const auto rows = scanner({443});
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_FALSE(rows[0].tel_cloud_over_cloud.has_value());
   EXPECT_FALSE(rows[0].tel_edu_over_edu.has_value());
@@ -86,7 +98,7 @@ TEST_F(OverlapTest, ExcludedActorsAreInvisible) {
   add(0, 22, 1, "SSH-2.0-x\r\n", std::nullopt, /*actor=*/1);  // crawler
   add(0, 22, 2, "SSH-2.0-x\r\n", std::nullopt, /*actor=*/9);
   add(2, 22, 1, {}, std::nullopt, /*actor=*/1);
-  const auto rows = scanner_overlap(store_, deployment_, {22}, {1});
+  const auto rows = scanner({22}, {1});
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].cloud_ips, 1u);
   EXPECT_EQ(rows[0].telescope_ips, 0u);
@@ -99,7 +111,7 @@ TEST_F(OverlapTest, AttackerOverlapUsesMeasuredIntent) {
   add(0, 22, 2, proto::ssh_client_banner());
   add(2, 22, 1);
   add(2, 22, 2);
-  const auto rows = attacker_overlap(store_, deployment_, classifier_, {22});
+  const auto rows = attacker({22});
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].malicious_cloud_ips, 1u);
   ASSERT_TRUE(rows[0].tel_over_malicious_cloud.has_value());
@@ -111,7 +123,7 @@ TEST_F(OverlapTest, EduSshIntentUnmeasurableYieldsNullopt) {
   // malicious, so the cell is absent (the paper's "x").
   add(1, 22, 1, proto::ssh_client_banner());
   add(2, 22, 1);
-  const auto rows = attacker_overlap(store_, deployment_, classifier_, {22});
+  const auto rows = attacker({22});
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_FALSE(rows[0].tel_over_malicious_edu.has_value());
 }
@@ -119,7 +131,7 @@ TEST_F(OverlapTest, EduSshIntentUnmeasurableYieldsNullopt) {
 TEST_F(OverlapTest, HttpExploitOnEduIsMeasurable) {
   add(1, 80, 1, proto::exploit_payload(proto::ExploitKind::kLog4Shell, 0));
   add(2, 80, 1);
-  const auto rows = attacker_overlap(store_, deployment_, classifier_, {80});
+  const auto rows = attacker({80});
   ASSERT_EQ(rows.size(), 1u);
   ASSERT_TRUE(rows[0].tel_over_malicious_edu.has_value());
   EXPECT_DOUBLE_EQ(*rows[0].tel_over_malicious_edu, 1.0);

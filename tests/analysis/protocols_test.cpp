@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "proto/payloads.h"
+#include "support/row_scan.h"
 
 namespace cw::analysis {
 namespace {
@@ -40,6 +41,11 @@ class ProtocolsTest : public ::testing::Test {
     store_.append(record, payload, std::nullopt);
   }
 
+  // The shipped breakdown over a frame of the store built above.
+  std::vector<ProtocolBreakdownRow> breakdown(const ProtocolOptions& options) {
+    return protocol_breakdown(rowscan::frame_of(store_, deployment_), options);
+  }
+
   topology::Deployment deployment_;
   capture::EventStore store_;
 };
@@ -53,7 +59,7 @@ TEST_F(ProtocolsTest, BreakdownPercentages) {
 
   ProtocolOptions options;
   options.ports = {80};
-  const auto rows = protocol_breakdown(store_, deployment_, options);
+  const auto rows = breakdown(options);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].scanners_total, 4u);
   EXPECT_EQ(rows[0].scanners_expected, 3u);
@@ -69,7 +75,7 @@ TEST_F(ProtocolsTest, GreyNoiseVantagesAreExcluded) {
   add(0, 80, 2, proto::http_benign_request(0), 11);
   ProtocolOptions options;
   options.ports = {80};
-  const auto rows = protocol_breakdown(store_, deployment_, options);
+  const auto rows = breakdown(options);
   EXPECT_EQ(rows[0].scanners_total, 1u);
   EXPECT_DOUBLE_EQ(rows[0].pct_expected, 100.0);
 }
@@ -79,7 +85,7 @@ TEST_F(ProtocolsTest, FirstPayloadPerSourceWins) {
   add(0, 80, 1, proto::tls_client_hello(), 10);  // same source, later payload
   ProtocolOptions options;
   options.ports = {80};
-  const auto rows = protocol_breakdown(store_, deployment_, options);
+  const auto rows = breakdown(options);
   EXPECT_EQ(rows[0].scanners_total, 1u);
   EXPECT_EQ(rows[0].scanners_expected, 1u);
 }
@@ -94,7 +100,7 @@ TEST_F(ProtocolsTest, OracleBreakdown) {
   ProtocolOptions options;
   options.ports = {80};
   options.oracle = &oracle;
-  const auto rows = protocol_breakdown(store_, deployment_, options);
+  const auto rows = breakdown(options);
   EXPECT_DOUBLE_EQ(rows[0].expected_benign_pct, 50.0);
   EXPECT_DOUBLE_EQ(rows[0].expected_malicious_pct, 50.0);
   EXPECT_DOUBLE_EQ(rows[0].unexpected_malicious_pct, 100.0);
@@ -103,7 +109,7 @@ TEST_F(ProtocolsTest, OracleBreakdown) {
 TEST_F(ProtocolsTest, EmptyPortYieldsZeroRow) {
   ProtocolOptions options;
   options.ports = {8080};
-  const auto rows = protocol_breakdown(store_, deployment_, options);
+  const auto rows = breakdown(options);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].scanners_total, 0u);
 }

@@ -1,9 +1,8 @@
 // The CharacteristicTableCache contract: every cached table, slice size,
-// and (malicious, benign) pair is bit-identical to the cold build the
-// analyses used to do per comparison — for every (vantage, neighbor, scope,
-// characteristic) — and the cache-backed analyses reproduce the frame-backed
-// ones exactly. Sharded builds (chunk partials merged in order) must be
-// indistinguishable from sequential ones at any chunk size or worker count.
+// and (malicious, benign) pair is bit-identical to a cold per-record scan of
+// the store (the row-scan oracle) — for every (vantage, neighbor, scope,
+// characteristic). The drivers built on the cache are checked against the
+// oracle cache in frame_equivalence_test.cpp.
 #include "analysis/table_cache.h"
 
 #include <gtest/gtest.h>
@@ -12,13 +11,16 @@
 #include <stdexcept>
 #include <vector>
 
-#include "analysis/geography.h"
-#include "analysis/neighborhood.h"
-#include "analysis/network.h"
 #include "core/experiment.h"
 #include "runner/thread_pool.h"
+#include "support/row_scan.h"
 
 namespace cw::analysis {
+
+// gtest prints a test parameter through an ADL-found PrintTo; without one a
+// TrafficScope prints as raw bytes in the test listing.
+static void PrintTo(TrafficScope scope, std::ostream* os) { *os << scope_name(scope); }
+
 namespace {
 
 const core::ExperimentResult& experiment() {
@@ -40,32 +42,22 @@ constexpr Characteristic kTableCharacteristics[] = {
     Characteristic::kTopAs, Characteristic::kTopUsername, Characteristic::kTopPassword,
     Characteristic::kTopPayload};
 
-stats::FrequencyTable cold_table(const TrafficSlice& slice, Characteristic characteristic) {
-  switch (characteristic) {
-    case Characteristic::kTopAs: return as_table(slice);
-    case Characteristic::kTopUsername: return username_table(slice);
-    case Characteristic::kTopPassword: return password_table(slice);
-    case Characteristic::kTopPayload: return payload_table(slice);
-    case Characteristic::kFracMalicious: break;
-  }
-  return {};
-}
-
 class TableCacheEquivalence : public ::testing::TestWithParam<TrafficScope> {};
 
 TEST_P(TableCacheEquivalence, VantageTablesMatchColdBuildsForEveryCharacteristic) {
   const auto& result = experiment();
   const CharacteristicTableCache cache(result.frame(), result.classifier());
   for (const topology::VantagePoint& vp : result.deployment().vantage_points()) {
-    const TrafficSlice slice = slice_vantage(result.frame(), vp.id, GetParam());
+    const rowscan::TrafficSlice slice =
+        rowscan::slice_vantage(result.store(), vp.id, GetParam());
     EXPECT_EQ(cache.record_count(vp.id, GetParam()), slice.records.size()) << vp.name;
     EXPECT_EQ(cache.malicious(vp.id, GetParam()),
-              malicious_counts(slice, result.classifier()))
+              rowscan::malicious_counts(slice, result.classifier()))
         << vp.name;
     for (const Characteristic characteristic : kTableCharacteristics) {
       const stats::FrequencyTable& cached =
           cache.table(vp.id, GetParam(), characteristic);
-      const stats::FrequencyTable cold = cold_table(slice, characteristic);
+      const stats::FrequencyTable cold = rowscan::characteristic_table(slice, characteristic);
       EXPECT_EQ(cached.total(), cold.total()) << vp.name;
       EXPECT_EQ(cached.sorted(), cold.sorted()) << vp.name;
     }
@@ -78,14 +70,13 @@ TEST_P(TableCacheEquivalence, NeighborSlicesMatchColdBuilds) {
   for (const topology::VantagePoint& vp : result.deployment().vantage_points()) {
     if (vp.collection != topology::CollectionMethod::kGreyNoise) continue;
     for (std::uint16_t n = 0; n < vp.addresses.size(); ++n) {
-      const TrafficSlice slice = slice_neighbor(result.frame(), vp.id, n, GetParam());
+      const rowscan::TrafficSlice slice =
+          rowscan::slice_neighbor(result.store(), vp.id, n, GetParam());
       EXPECT_EQ(cache.record_count(vp.id, GetParam(), n), slice.records.size());
       EXPECT_EQ(cache.malicious(vp.id, GetParam(), n),
-                malicious_counts(slice, result.classifier()));
-      const stats::FrequencyTable cold = cold_table(slice, Characteristic::kTopAs);
-      EXPECT_EQ(cache.table(vp.id, GetParam(), Characteristic::kTopAs,
-                            /*pool=*/nullptr, n)
-                    .sorted(),
+                rowscan::malicious_counts(slice, result.classifier()));
+      const stats::FrequencyTable cold = rowscan::as_table(slice);
+      EXPECT_EQ(cache.table(vp.id, GetParam(), Characteristic::kTopAs, n).sorted(),
                 cold.sorted());
     }
   }
@@ -116,32 +107,6 @@ TEST(TableCache, SecondLookupReturnsTheSameTableWithoutRebuilding) {
   EXPECT_EQ(cache.tables_built(), built);
 }
 
-TEST(TableCache, ShardedBuildMatchesSequentialAtAnyChunkSize) {
-  const auto& result = experiment();
-  const capture::SessionFrame& frame = result.frame();
-  // The busiest slice in the run: the telescope's Any/All records.
-  const topology::VantagePoint* telescope = nullptr;
-  for (const topology::VantagePoint& vp : result.deployment().vantage_points()) {
-    if (vp.type == topology::NetworkType::kTelescope) telescope = &vp;
-  }
-  ASSERT_NE(telescope, nullptr);
-  const std::span<const std::uint32_t> vantage_records = frame.for_vantage(telescope->id);
-  const std::vector<std::uint32_t> records(vantage_records.begin(), vantage_records.end());
-  ASSERT_GT(records.size(), 256u);
-
-  runner::ThreadPool pool(4);
-  for (const Characteristic characteristic : kTableCharacteristics) {
-    const stats::FrequencyTable sequential =
-        build_characteristic_table(frame, records, characteristic);
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{64}, std::size_t{4096}}) {
-      const stats::FrequencyTable sharded =
-          build_characteristic_table(frame, records, characteristic, &pool, chunk);
-      EXPECT_EQ(sharded.total(), sequential.total());
-      EXPECT_EQ(sharded.sorted(), sequential.sorted());
-    }
-  }
-}
-
 TEST(TableCache, FracMaliciousHasNoFrequencyTable) {
   const auto& result = experiment();
   const capture::SessionFrame& frame = result.frame();
@@ -156,8 +121,8 @@ TEST(TableCache, ConcurrentLookupsOfSharedKeysBuildOnceAndAgree) {
   const auto& result = experiment();
   const CharacteristicTableCache cache(result.frame(), result.classifier());
   const topology::VantageId id = result.deployment().vantage_points().front().id;
-  const stats::FrequencyTable reference = cold_table(
-      slice_vantage(result.frame(), id, TrafficScope::kAnyAll), Characteristic::kTopAs);
+  const stats::FrequencyTable reference =
+      rowscan::as_table(rowscan::slice_vantage(result.store(), id, TrafficScope::kAnyAll));
 
   runner::ThreadPool pool(8);
   std::vector<int> ok(64, 0);
@@ -170,56 +135,6 @@ TEST(TableCache, ConcurrentLookupsOfSharedKeysBuildOnceAndAgree) {
   });
   for (std::size_t i = 0; i < ok.size(); ++i) EXPECT_TRUE(ok[i]) << i;
   EXPECT_EQ(cache.tables_built(), 1u);
-}
-
-TEST(TableCache, CacheBackedAnalysesMatchFrameBackedOnes) {
-  const auto& result = experiment();
-  const CharacteristicTableCache cache(result.frame(), result.classifier());
-  for (const TrafficScope scope : kAllScopes) {
-    for (const auto& pairs : {telescope_cloud_pairs(result.deployment()),
-                              telescope_edu_pairs(result.deployment()),
-                              cloud_cloud_pairs(result.deployment()),
-                              cloud_edu_pairs(result.deployment())}) {
-      const NetworkComparison a = compare_vantage_pairs(
-          result.frame(), pairs, scope, Characteristic::kTopAs, result.classifier());
-      const NetworkComparison b =
-          compare_vantage_pairs(cache, pairs, scope, Characteristic::kTopAs);
-      EXPECT_EQ(a.measurable, b.measurable);
-      EXPECT_EQ(a.pairs_tested, b.pairs_tested);
-      EXPECT_EQ(a.pairs_different, b.pairs_different);
-      EXPECT_EQ(a.avg_phi, b.avg_phi);
-      EXPECT_EQ(a.strongest, b.strongest);
-    }
-    for (const Characteristic characteristic : characteristics_for_scope(scope)) {
-      const NeighborhoodSummary a = analyze_neighborhoods(result.frame(), scope, characteristic,
-                                                          result.classifier());
-      const NeighborhoodSummary b = analyze_neighborhoods(cache, scope, characteristic);
-      EXPECT_EQ(a.neighborhoods_tested, b.neighborhoods_tested);
-      EXPECT_EQ(a.neighborhoods_different, b.neighborhoods_different);
-      EXPECT_EQ(a.pct_different, b.pct_different);
-      EXPECT_EQ(a.avg_phi, b.avg_phi);
-      EXPECT_EQ(a.typical_magnitude, b.typical_magnitude);
-
-      const GeoSimilarity ga = geo_similarity(result.frame(), scope, characteristic,
-                                              result.classifier());
-      const GeoSimilarity gb = geo_similarity(cache, scope, characteristic);
-      EXPECT_EQ(ga.tested, gb.tested);
-      EXPECT_EQ(ga.similar, gb.similar);
-    }
-  }
-  for (const topology::Provider provider :
-       {topology::Provider::kAws, topology::Provider::kGoogle, topology::Provider::kLinode}) {
-    const MostDifferentRegion a =
-        most_different_region(result.frame(), provider, TrafficScope::kSsh22,
-                              Characteristic::kTopAs, result.classifier());
-    const MostDifferentRegion b = most_different_region(
-        cache, provider, TrafficScope::kSsh22, Characteristic::kTopAs);
-    EXPECT_EQ(a.any_significant, b.any_significant);
-    EXPECT_EQ(a.region_code, b.region_code);
-    EXPECT_EQ(a.avg_phi, b.avg_phi);
-    EXPECT_EQ(a.magnitude, b.magnitude);
-    EXPECT_EQ(a.significant_pairs, b.significant_pairs);
-  }
 }
 
 TEST(TableCache, ExperimentResultCacheIsLazyAndStable) {

@@ -112,25 +112,22 @@ class FrameIoTest : public ::testing::Test {
         ASSERT_EQ(got.protocol(i), want.protocol(i)) << i;
       }
     }
-    ASSERT_EQ(got.has_codes(), want.has_codes());
-    if (want.has_codes()) {
-      for (std::size_t c = 0; c < kCodedColumns; ++c) {
-        const auto column = static_cast<CodedColumn>(c);
-        const auto got_codes = got.codes(column);
-        const auto want_codes = want.codes(column);
-        ASSERT_EQ(got_codes.size(), want_codes.size());
-        for (std::size_t i = 0; i < want_codes.size(); ++i) {
-          ASSERT_EQ(got_codes[i], want_codes[i]) << "column " << c << " row " << i;
-        }
-        if (got.dict(column) != nullptr) {
-          // Text, not pointer identity: a cold restart reloads the
-          // dictionaries from the inline section.
-          const auto& got_dict = *got.dict(column);
-          const auto& want_dict = *want.dict(column);
-          ASSERT_EQ(got_dict.size(), want_dict.size());
-          for (std::uint32_t code = 0; code < want_dict.size(); ++code) {
-            ASSERT_EQ(got_dict.at(code), want_dict.at(code));
-          }
+    for (std::size_t c = 0; c < kCodedColumns; ++c) {
+      const auto column = static_cast<CodedColumn>(c);
+      const auto got_codes = got.codes(column);
+      const auto want_codes = want.codes(column);
+      ASSERT_EQ(got_codes.size(), want_codes.size());
+      for (std::size_t i = 0; i < want_codes.size(); ++i) {
+        ASSERT_EQ(got_codes[i], want_codes[i]) << "column " << c << " row " << i;
+      }
+      if (got.dict(column) != nullptr) {
+        // Text, not pointer identity: a cold restart reloads the
+        // dictionaries from the inline section.
+        const auto& got_dict = *got.dict(column);
+        const auto& want_dict = *want.dict(column);
+        ASSERT_EQ(got_dict.size(), want_dict.size());
+        for (std::uint32_t code = 0; code < want_dict.size(); ++code) {
+          ASSERT_EQ(got_dict.at(code), want_dict.at(code));
         }
       }
     }
@@ -222,7 +219,6 @@ TEST_F(FrameIoTest, ColdRestartReloadsDictionariesFromInlineSection) {
   ASSERT_TRUE(view.open(path, 0, blob.size(), deployment_, options, &error)) << error;
   SessionFrame mapped;
   ASSERT_TRUE(view.map(mapped, &error)) << error;
-  ASSERT_TRUE(mapped.has_codes());
   for (std::size_t c = 0; c < kCodedColumns; ++c) {
     // Reloaded, not shared: distinct object, identical text.
     EXPECT_NE(mapped.dict(static_cast<CodedColumn>(c)).get(),
@@ -261,6 +257,16 @@ TEST_F(FrameIoTest, OpenRejectsTruncatedAndCorruptSections) {
   FrameView view;
   EXPECT_FALSE(view.open(magic_path, 0, bad_magic.size(), deployment_, {}, &error));
   std::remove(magic_path.c_str());
+
+  // A section without encoded columns (the header's flags word, after
+  // magic, version and record count, loses its codes bit): analysis reads
+  // characteristics only through codes, so the view refuses it.
+  std::vector<std::uint8_t> no_codes = blob;
+  no_codes[16] &= static_cast<std::uint8_t>(~4u);
+  const std::string no_codes_path = write_section(no_codes, "frame_io_no_codes.cwfs");
+  EXPECT_FALSE(view.open(no_codes_path, 0, no_codes.size(), deployment_, {}, &error));
+  EXPECT_NE(error.find("no encoded columns"), std::string::npos) << error;
+  std::remove(no_codes_path.c_str());
 }
 
 TEST_F(FrameIoTest, ProbeFindsTheSectionInsideASpillFile) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/param_name.h"
+
 namespace cw::ids {
 namespace {
 
@@ -97,6 +99,8 @@ struct BadRule {
   const char* reason;
 };
 
+void PrintTo(const BadRule& rule, std::ostream* os) { *os << rule.reason; }
+
 class ParseRuleRejects : public ::testing::TestWithParam<BadRule> {};
 
 TEST_P(ParseRuleRejects, ReturnsError) {
@@ -120,7 +124,8 @@ INSTANTIATE_TEST_SUITE_P(
         BadRule{R"(alert tcp any any -> any 80 (msg:"m"; nocase; content:"x"; sid:1;))", "nocase before content"},
         BadRule{R"(alert tcp any any -> any 80 (msg:"m"; content:"x"; classtype:bogus; sid:1;))", "bad classtype"},
         BadRule{R"(alert tcp any any -> any 80 (msg:"m"; content:"x"; pcre:"/a/"; sid:1;))", "unsupported option"},
-        BadRule{R"(alert tcp any any any 80 (msg:"m"; content:"x"; sid:1;))", "malformed header"}));
+        BadRule{R"(alert tcp any any any 80 (msg:"m"; content:"x"; sid:1;))", "malformed header"}),
+    [](const auto& info) { return support::param_name(info.param.reason); });
 
 TEST(ParseRule, UdpTransport) {
   const auto rule = parse_rule(

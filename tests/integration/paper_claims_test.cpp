@@ -32,7 +32,7 @@ class PaperClaims : public ::testing::Test {
 
   static std::optional<double> cloud_overlap(net::Port port) {
     const auto rows = analysis::scanner_overlap(
-        r().store(), r().deployment(), {port},
+        r().frames(), {port},
         {agents::Population::kCensysActorId, agents::Population::kShodanActorId});
     return rows.front().tel_cloud_over_cloud;
   }
@@ -57,7 +57,7 @@ TEST_F(PaperClaims, TelescopeAvoidanceOrdering) {
 // while most Telnet attackers do.
 TEST_F(PaperClaims, AttackersOnSshPortsAvoidTelescope) {
   const auto rows = analysis::attacker_overlap(
-      r().store(), r().deployment(), r().classifier(), {22, 23},
+      r().frames(), {22, 23},
       {agents::Population::kCensysActorId, agents::Population::kShodanActorId});
   ASSERT_EQ(rows.size(), 2u);
   ASSERT_TRUE(rows[0].tel_over_malicious_cloud.has_value());
@@ -70,7 +70,7 @@ TEST_F(PaperClaims, AttackersOnSshPortsAvoidTelescope) {
 // networks.
 TEST_F(PaperClaims, CloudScannersAlsoTargetEducation) {
   const auto rows = analysis::scanner_overlap(
-      r().store(), r().deployment(), {23, 80},
+      r().frames(), {23, 80},
       {agents::Population::kCensysActorId, agents::Population::kShodanActorId});
   for (const auto& row : rows) {
     ASSERT_TRUE(row.cloud_edu_over_cloud.has_value());
@@ -83,9 +83,9 @@ TEST_F(PaperClaims, CloudScannersAlsoTargetEducation) {
 TEST_F(PaperClaims, TelescopeAsesDiffer) {
   const auto pairs = analysis::telescope_cloud_pairs(r().deployment());
   ASSERT_FALSE(pairs.empty());
-  const auto comparison = analysis::compare_vantage_pairs(
-      r().store(), r().deployment(), pairs, analysis::TrafficScope::kSsh22,
-      analysis::Characteristic::kTopAs, r().classifier());
+  const auto comparison =
+      analysis::compare_vantage_pairs(r().table_cache(), pairs, analysis::TrafficScope::kSsh22,
+                                      analysis::Characteristic::kTopAs);
   EXPECT_GT(comparison.pairs_different, 0u);
   EXPECT_GT(comparison.avg_phi, 0.3);
 }
@@ -98,9 +98,8 @@ TEST_F(PaperClaims, EducationNetworksLookAlike) {
   for (const auto scope :
        {analysis::TrafficScope::kSsh22, analysis::TrafficScope::kTelnet23,
         analysis::TrafficScope::kHttp80}) {
-    const auto comparison = analysis::compare_vantage_pairs(
-        r().store(), r().deployment(), pairs, scope, analysis::Characteristic::kTopAs,
-        r().classifier());
+    const auto comparison = analysis::compare_vantage_pairs(r().table_cache(), pairs, scope,
+                                                            analysis::Characteristic::kTopAs);
     different += static_cast<int>(comparison.pairs_different);
   }
   EXPECT_LE(different, 1);
@@ -111,11 +110,9 @@ TEST_F(PaperClaims, EducationNetworksLookAlike) {
 // far less often on SSH.
 TEST_F(PaperClaims, NeighborhoodsDifferInAsesMoreThanPasswords) {
   const auto as_summary = analysis::analyze_neighborhoods(
-      r().store(), r().deployment(), analysis::TrafficScope::kSsh22,
-      analysis::Characteristic::kTopAs, r().classifier());
+      r().table_cache(), analysis::TrafficScope::kSsh22, analysis::Characteristic::kTopAs);
   const auto pwd_summary = analysis::analyze_neighborhoods(
-      r().store(), r().deployment(), analysis::TrafficScope::kSsh22,
-      analysis::Characteristic::kTopPassword, r().classifier());
+      r().table_cache(), analysis::TrafficScope::kSsh22, analysis::Characteristic::kTopPassword);
   EXPECT_GT(as_summary.pct_different, 20.0);
   EXPECT_LT(pwd_summary.pct_different, as_summary.pct_different);
 }
@@ -123,9 +120,9 @@ TEST_F(PaperClaims, NeighborhoodsDifferInAsesMoreThanPasswords) {
 // Section 5.1 / Table 5: Asia-Pacific region pairs differ in HTTP payloads
 // far more often than US pairs.
 TEST_F(PaperClaims, AsiaPacificPayloadDivergence) {
-  const auto similarity = analysis::geo_similarity(
-      r().store(), r().deployment(), analysis::TrafficScope::kHttpAllPorts,
-      analysis::Characteristic::kTopPayload, r().classifier());
+  const auto similarity =
+      analysis::geo_similarity(r().table_cache(), analysis::TrafficScope::kHttpAllPorts,
+                               analysis::Characteristic::kTopPayload);
   const double us = similarity.pct_similar(analysis::PairGroup::kUs);
   const double apac = similarity.pct_similar(analysis::PairGroup::kApac);
   EXPECT_LT(apac, us);
@@ -136,9 +133,8 @@ TEST_F(PaperClaims, AsiaPacificPayloadDivergence) {
 // by the Huawei-targeting regional dictionary.
 TEST_F(PaperClaims, AwsAustraliaTelnetUsernames) {
   const auto most = analysis::most_different_region(
-      r().store(), r().deployment(), topology::Provider::kAws,
-      analysis::TrafficScope::kTelnet23, analysis::Characteristic::kTopUsername,
-      r().classifier());
+      r().table_cache(), topology::Provider::kAws, analysis::TrafficScope::kTelnet23,
+      analysis::Characteristic::kTopUsername);
   ASSERT_TRUE(most.any_significant);
   EXPECT_EQ(most.region_code, "AP-AU");
 }
@@ -148,7 +144,7 @@ TEST_F(PaperClaims, AwsAustraliaTelnetUsernames) {
 TEST_F(PaperClaims, UnexpectedProtocolsOnHttpPorts) {
   analysis::ProtocolOptions options;
   options.oracle = &r().oracle();
-  const auto rows = analysis::protocol_breakdown(r().store(), r().deployment(), options);
+  const auto rows = analysis::protocol_breakdown(r().frame(), options);
   ASSERT_EQ(rows.size(), 2u);
   for (const auto& row : rows) {
     EXPECT_GE(row.pct_unexpected, 10.0) << row.port;
@@ -159,7 +155,7 @@ TEST_F(PaperClaims, UnexpectedProtocolsOnHttpPorts) {
 
 // Section 4.2 / Figure 1b: scanners avoid .255 addresses on port 445.
 TEST_F(PaperClaims, BroadcastAvoidanceOnSmb) {
-  const auto counts = analysis::telescope_address_counts(r().store(), r().deployment(), 445);
+  const auto counts = analysis::telescope_address_counts(r().frame(), 445);
   ASSERT_FALSE(counts.empty());
   const topology::VantagePoint* telescope = nullptr;
   for (const auto& vp : r().deployment().vantage_points()) {
@@ -172,7 +168,7 @@ TEST_F(PaperClaims, BroadcastAvoidanceOnSmb) {
 // Section 4.2 / Figure 1a: the first address of a /16 is over-targeted on
 // port 22.
 TEST_F(PaperClaims, FirstOfSlash16PreferenceOnSsh) {
-  const auto counts = analysis::telescope_address_counts(r().store(), r().deployment(), 22);
+  const auto counts = analysis::telescope_address_counts(r().frame(), 22);
   ASSERT_FALSE(counts.empty());
   const topology::VantagePoint* telescope = nullptr;
   for (const auto& vp : r().deployment().vantage_points()) {

@@ -61,6 +61,10 @@ struct ContinentCase {
   Continent continent;
 };
 
+void PrintTo(const ContinentCase& c, std::ostream* os) {
+  *os << c.country << " -> " << continent_name(c.continent);
+}
+
 class ContinentOf : public ::testing::TestWithParam<ContinentCase> {};
 
 TEST_P(ContinentOf, Matches) {
@@ -85,7 +89,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ContinentCase{"EC", Continent::kSouthAmerica},
                       ContinentCase{"BH", Continent::kMiddleEast},
                       ContinentCase{"AE", Continent::kMiddleEast},
-                      ContinentCase{"ZA", Continent::kAfrica}));
+                      ContinentCase{"ZA", Continent::kAfrica}),
+    [](const auto& info) { return std::string(info.param.country); });
 
 TEST(GeoRegion, CodeFormat) {
   EXPECT_EQ(make_region("US", "OR").code(), "US-OR");

@@ -27,6 +27,10 @@ struct AssignmentCase {
   Protocol protocol;
 };
 
+void PrintTo(const AssignmentCase& c, std::ostream* os) {
+  *os << c.port << " -> " << protocol_name(c.protocol);
+}
+
 class IanaAssignment : public ::testing::TestWithParam<AssignmentCase> {};
 
 TEST_P(IanaAssignment, Matches) {
@@ -47,7 +51,8 @@ INSTANTIATE_TEST_SUITE_P(
                       AssignmentCase{6379, Protocol::kRedis},
                       AssignmentCase{3306, Protocol::kSql},
                       AssignmentCase{17128, Protocol::kUnknown},
-                      AssignmentCase{9999, Protocol::kUnknown}));
+                      AssignmentCase{9999, Protocol::kUnknown}),
+    [](const auto& info) { return "port" + std::to_string(info.param.port); });
 
 TEST(Ports, PortsAssignedToIsConsistent) {
   for (std::size_t i = 1; i < kProtocolCount; ++i) {

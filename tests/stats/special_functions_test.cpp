@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+
+#include "support/param_name.h"
 
 namespace cw::stats {
 namespace {
@@ -36,6 +39,10 @@ struct ChiSfCase {
   double expected;
 };
 
+void PrintTo(const ChiSfCase& c, std::ostream* os) {
+  *os << "sf(" << c.x << ", df " << c.df << ") = " << c.expected;
+}
+
 class ChiSquaredSf : public ::testing::TestWithParam<ChiSfCase> {};
 
 TEST_P(ChiSquaredSf, MatchesReferenceTables) {
@@ -50,7 +57,13 @@ INSTANTIATE_TEST_SUITE_P(Reference, ChiSquaredSf,
                                            ChiSfCase{18.307, 10, 0.05},
                                            ChiSfCase{31.410, 20, 0.05},
                                            ChiSfCase{1.0, 1, 0.3173},
-                                           ChiSfCase{0.0, 5, 1.0}));
+                                           ChiSfCase{0.0, 5, 1.0}),
+                         [](const auto& info) {
+                           char name[48];
+                           std::snprintf(name, sizeof name, "x%g_df%g", info.param.x,
+                                         info.param.df);
+                           return support::param_name(name);
+                         });
 
 TEST(ChiSquaredSf, InvalidDf) { EXPECT_TRUE(std::isnan(chi_squared_sf(1.0, 0.0))); }
 

@@ -101,15 +101,14 @@ TEST_P(SegmentedCacheSlicing, MatchesColdWholeCorpusCacheEverywhere) {
   ASSERT_EQ(segmented.segment_count(), slices);
 
   const analysis::CharacteristicTableCache cold(result.frame(), classifier);
-  runner::ThreadPool pool(2);
   for (const topology::VantagePoint& vp : result.deployment().vantage_points()) {
     for (const analysis::TrafficScope scope : kAllScopes) {
       ASSERT_EQ(segmented.record_count(vp.id, scope), cold.record_count(vp.id, scope))
           << vp.name;
       EXPECT_EQ(segmented.malicious(vp.id, scope), cold.malicious(vp.id, scope)) << vp.name;
       for (const analysis::Characteristic characteristic : kTableCharacteristics) {
-        const auto& merged = segmented.table(vp.id, scope, characteristic, &pool);
-        const auto& whole = cold.table(vp.id, scope, characteristic, &pool);
+        const auto& merged = segmented.table(vp.id, scope, characteristic);
+        const auto& whole = cold.table(vp.id, scope, characteristic);
         ASSERT_EQ(merged.total(), whole.total()) << vp.name;
         ASSERT_EQ(merged.distinct(), whole.distinct()) << vp.name;
         // sorted() is deterministic (count desc, lexicographic ties), so
@@ -123,7 +122,8 @@ TEST_P(SegmentedCacheSlicing, MatchesColdWholeCorpusCacheEverywhere) {
   EXPECT_GE(segmented.segment_tables_built(), slices);
 }
 
-INSTANTIATE_TEST_SUITE_P(Slicings, SegmentedCacheSlicing, ::testing::Values(1, 3, 17));
+INSTANTIATE_TEST_SUITE_P(Slicings, SegmentedCacheSlicing, ::testing::Values(1, 3, 17),
+                         [](const auto& info) { return std::to_string(info.param); });
 
 std::vector<std::string> batch_outputs(unsigned jobs, const runner::ReportOptions& options) {
   const auto result = core::Experiment(tiny_config()).run();

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 namespace cw::util {
@@ -297,7 +299,11 @@ TEST_P(RngUniformity, NextBelowIsRoughlyUniform) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RngUniformity,
                          ::testing::Combine(::testing::Values(1ULL, 99ULL, 777ULL),
-                                            ::testing::Values(2ULL, 10ULL, 64ULL, 100ULL)));
+                                            ::testing::Values(2ULL, 10ULL, 64ULL, 100ULL)),
+                         [](const auto& info) {
+                           return "seed" + std::to_string(std::get<0>(info.param)) + "_bound" +
+                                  std::to_string(std::get<1>(info.param));
+                         });
 
 }  // namespace
 }  // namespace cw::util
