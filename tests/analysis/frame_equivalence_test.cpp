@@ -23,11 +23,6 @@
 #include "support/row_scan.h"
 
 namespace cw::analysis {
-
-// gtest prints a test parameter through an ADL-found PrintTo; without one a
-// TrafficScope prints as raw bytes in the test listing.
-static void PrintTo(TrafficScope scope, std::ostream* os) { *os << scope_name(scope); }
-
 namespace {
 
 const core::ExperimentResult& experiment() {

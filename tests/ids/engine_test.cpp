@@ -6,18 +6,6 @@
 #include "proto/exploits.h"
 #include "proto/payloads.h"
 
-namespace cw::net {
-// gtest prints a test parameter through an ADL-found PrintTo; without one a
-// Protocol prints as raw bytes in the test listing.
-static void PrintTo(Protocol p, std::ostream* os) { *os << protocol_name(p); }
-}  // namespace cw::net
-
-namespace cw::proto {
-// gtest prints a test parameter through an ADL-found PrintTo; without one an
-// ExploitKind prints as raw bytes in the test listing.
-static void PrintTo(ExploitKind kind, std::ostream* os) { *os << exploit_name(kind); }
-}  // namespace cw::proto
-
 namespace cw::ids {
 namespace {
 

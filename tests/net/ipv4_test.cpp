@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "support/param_name.h"
-
 namespace cw::net {
 namespace {
 
@@ -34,8 +32,7 @@ TEST_P(IPv4ParseInvalid, Rejects) {
 INSTANTIATE_TEST_SUITE_P(Garbage, IPv4ParseInvalid,
                          ::testing::Values("", "1.2.3", "1.2.3.4.5", "256.1.1.1", "1.2.3.999",
                                            "a.b.c.d", "1..2.3", "1.2.3.4 ", " 1.2.3.4",
-                                           "1.2.3.-4", "0x1.2.3.4", "1.2.3.4/24", "1234"),
-                         [](const auto& info) { return support::param_name(info.param); });
+                                           "1.2.3.-4", "0x1.2.3.4", "1.2.3.4/24", "1234"));
 
 TEST(IPv4Addr, StructurePredicates) {
   EXPECT_TRUE(IPv4Addr(1, 2, 3, 255).has_255_octet());

@@ -4,12 +4,6 @@
 
 #include "proto/payloads.h"
 
-namespace cw::net {
-// gtest prints a test parameter through an ADL-found PrintTo; without one a
-// Protocol prints as raw bytes in the test listing.
-static void PrintTo(Protocol p, std::ostream* os) { *os << protocol_name(p); }
-}  // namespace cw::net
-
 namespace cw::proto {
 namespace {
 

@@ -162,8 +162,7 @@ TEST_P(NullCalibration, FalsePositivesAreRare) {
   EXPECT_LE(significant, 1);  // alpha/family keeps family-wise errors near zero
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, NullCalibration, ::testing::Values(1, 2, 3, 4),
-                         [](const auto& info) { return std::to_string(info.param); });
+INSTANTIATE_TEST_SUITE_P(Seeds, NullCalibration, ::testing::Values(1, 2, 3, 4));
 
 }  // namespace
 }  // namespace cw::stats

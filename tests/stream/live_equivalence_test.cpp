@@ -122,8 +122,7 @@ TEST_P(SegmentedCacheSlicing, MatchesColdWholeCorpusCacheEverywhere) {
   EXPECT_GE(segmented.segment_tables_built(), slices);
 }
 
-INSTANTIATE_TEST_SUITE_P(Slicings, SegmentedCacheSlicing, ::testing::Values(1, 3, 17),
-                         [](const auto& info) { return std::to_string(info.param); });
+INSTANTIATE_TEST_SUITE_P(Slicings, SegmentedCacheSlicing, ::testing::Values(1, 3, 17));
 
 std::vector<std::string> batch_outputs(unsigned jobs, const runner::ReportOptions& options) {
   const auto result = core::Experiment(tiny_config()).run();
