@@ -6,8 +6,12 @@
 //  2. A LiveReport run over the full window renders, at its final epoch,
 //     exactly the bytes of the one-shot batch report — at multiple epoch
 //     slicings and worker counts.
+//  3. Every intermediate epoch renders exactly the batch report of a run
+//     cut at that epoch's boundary, resident and spilled alike.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -165,6 +169,61 @@ TEST(LiveReportEquivalence, FinalEpochMatchesBatchAcrossSlicingsAndJobs) {
           << final_report.names[i] << " at " << c.epochs << " epochs, " << c.shards
           << " shards, jobs " << c.jobs;
     }
+  }
+}
+
+// The batch report of a fresh run stopped at `boundary`: what a live epoch
+// sealed at that boundary must render.
+std::vector<std::string> batch_outputs_at(util::SimTime boundary,
+                                          const runner::ReportOptions& options) {
+  core::LiveExperiment live(tiny_config());
+  live.advance_to(boundary);
+  const auto result = live.take();
+  result->store().freeze();
+  const auto pipelines = runner::paper_report_pipelines(*result, options);
+  return runner::run_pipelines(pipelines, 1).outputs;
+}
+
+TEST(LiveReportEquivalence, EveryEpochMatchesBatchAtItsBoundary) {
+  constexpr std::size_t kEpochs = 3;
+  runner::ReportOptions options;
+  options.include_leak = false;
+  std::map<std::uint64_t, std::vector<std::string>> batch;  // by epoch
+  for (std::size_t k = 1; k <= kEpochs; ++k) {
+    batch[k] = batch_outputs_at(tiny_config().duration * static_cast<util::SimTime>(k) /
+                                    static_cast<util::SimTime>(kEpochs),
+                                options);
+  }
+
+  for (const bool spilled : {false, true}) {
+    LiveReportConfig config;
+    config.experiment = tiny_config();
+    config.epochs = kEpochs;
+    config.shards = 4;
+    config.jobs = 2;
+    config.report = options;
+    const std::string dir = ::testing::TempDir() + "live_every_epoch";
+    if (spilled) {
+      std::filesystem::remove_all(dir);
+      config.spill_dir = dir;
+      config.hot_segments = 0;
+    }
+    std::vector<EpochReport> reports;
+    LiveReport live(config);
+    live.run([&reports](const EpochReport& report) { reports.push_back(report); });
+    ASSERT_EQ(reports.size(), kEpochs);
+    for (const EpochReport& report : reports) {
+      ASSERT_TRUE(report.rendered);
+      EXPECT_FALSE(report.failed);
+      const std::vector<std::string>& want = batch.at(report.epoch);
+      ASSERT_EQ(report.outputs.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(report.outputs[i], want[i])
+            << report.names[i] << " at epoch " << report.epoch
+            << (spilled ? ", spilled at hot 0" : ", resident");
+      }
+    }
+    if (spilled) std::filesystem::remove_all(dir);
   }
 }
 
