@@ -15,8 +15,7 @@ namespace {
 
 std::string render_matrix() {
   const auto& result = cw::bench::shared_experiment();
-  const auto matrix = cw::analysis::regional_blocklist_matrix(
-      result.store(), result.deployment(), result.classifier());
+  const auto matrix = cw::analysis::regional_blocklist_matrix(result.frame());
 
   cw::util::TextTable table({"Blocklist from", "Applied to", "List size", "Target attacker IPs",
                              "IP coverage", "Event coverage"});

@@ -15,8 +15,8 @@ namespace {
 
 std::string render_report() {
   const auto& result = cw::bench::shared_experiment();
-  const auto campaigns = cw::analysis::infer_campaigns(result.store());
-  const auto validation = cw::analysis::validate_campaigns(result.store(), campaigns);
+  const auto campaigns = cw::analysis::infer_campaigns(result.frame());
+  const auto validation = cw::analysis::validate_campaigns(result.frame(), campaigns);
 
   std::string out = "Campaign inference from payload signatures (ground-truth validated)\n";
   out += "inferred campaigns:   " + std::to_string(validation.inferred) + "\n";
@@ -44,7 +44,7 @@ std::string render_report() {
 void BM_CampaignInference(benchmark::State& state) {
   const auto& result = cw::bench::shared_experiment();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cw::analysis::infer_campaigns(result.store()).size());
+    benchmark::DoNotOptimize(cw::analysis::infer_campaigns(result.frame()).size());
   }
 }
 BENCHMARK(BM_CampaignInference)->Unit(benchmark::kMillisecond)->Iterations(2);

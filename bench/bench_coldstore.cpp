@@ -43,15 +43,7 @@ const stream::EpochSnapshot& shared_snapshot() {
         });
     const analysis::MaliciousClassifier& classifier = live.result().classifier();
     const stream::VerdictFactory verdict = [&classifier](const capture::EventStore& store) {
-      return [&classifier, &store](const capture::SessionRecord& record) {
-        switch (classifier.classify(record, store)) {
-          case analysis::MeasuredIntent::kMalicious:
-            return capture::SessionFrame::Verdict::kMalicious;
-          case analysis::MeasuredIntent::kBenign: return capture::SessionFrame::Verdict::kBenign;
-          case analysis::MeasuredIntent::kUnobservable: break;
-        }
-        return capture::SessionFrame::Verdict::kUnobservable;
-      };
+      return analysis::frame_verdict(classifier, store);
     };
     live.advance_to(bench_config().duration);
     stream::EpochSnapshot out =

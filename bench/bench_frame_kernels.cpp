@@ -155,15 +155,7 @@ void bm_epoch_seal(benchmark::State& state) {
   const core::ExperimentResult& experiment = shared_experiment();
   const std::vector<RawRecord>& corpus = raw_corpus();
   const stream::VerdictFactory verdict = [&experiment](const capture::EventStore& store) {
-    return [&experiment, &store](const capture::SessionRecord& record) {
-      switch (experiment.classifier().classify(record, store)) {
-        case analysis::MeasuredIntent::kMalicious:
-          return capture::SessionFrame::Verdict::kMalicious;
-        case analysis::MeasuredIntent::kBenign: return capture::SessionFrame::Verdict::kBenign;
-        case analysis::MeasuredIntent::kUnobservable: break;
-      }
-      return capture::SessionFrame::Verdict::kUnobservable;
-    };
+    return analysis::frame_verdict(experiment.classifier(), store);
   };
   const std::size_t last_begin = corpus.size() * (epochs - 1) / epochs;
   for (auto _ : state) {

@@ -31,16 +31,7 @@ void bm_frame_build(benchmark::State& state) {
   for (auto _ : state) {
     capture::SessionFrame::BuildOptions options;
     options.pool = pool.get();
-    options.verdict = [&experiment](const capture::SessionRecord& record) {
-      switch (experiment.classifier().classify(record, experiment.store())) {
-        case analysis::MeasuredIntent::kMalicious:
-          return capture::SessionFrame::Verdict::kMalicious;
-        case analysis::MeasuredIntent::kBenign:
-          return capture::SessionFrame::Verdict::kBenign;
-        case analysis::MeasuredIntent::kUnobservable: break;
-      }
-      return capture::SessionFrame::Verdict::kUnobservable;
-    };
+    options.verdict = analysis::frame_verdict(experiment.classifier(), experiment.store());
     const capture::SessionFrame frame = capture::SessionFrame::build(
         experiment.store(), experiment.deployment(), std::move(options));
     benchmark::DoNotOptimize(frame.size());

@@ -76,15 +76,7 @@ void bm_epoch_seal(benchmark::State& state) {
   const core::ExperimentResult& experiment = shared_experiment();
   const std::vector<RawRecord>& corpus = raw_corpus();
   const stream::VerdictFactory verdict = [&experiment](const capture::EventStore& store) {
-    return [&experiment, &store](const capture::SessionRecord& record) {
-      switch (experiment.classifier().classify(record, store)) {
-        case analysis::MeasuredIntent::kMalicious:
-          return capture::SessionFrame::Verdict::kMalicious;
-        case analysis::MeasuredIntent::kBenign: return capture::SessionFrame::Verdict::kBenign;
-        case analysis::MeasuredIntent::kUnobservable: break;
-      }
-      return capture::SessionFrame::Verdict::kUnobservable;
-    };
+    return analysis::frame_verdict(experiment.classifier(), store);
   };
   for (auto _ : state) {
     stream::IngestShards ingest(4);
@@ -158,15 +150,7 @@ const EpochSegments& epoch_segments() {
       store->freeze();
       const capture::EventStore& fixed = *store;
       capture::SessionFrame::BuildOptions options;
-      options.verdict = [&experiment, &fixed](const capture::SessionRecord& record) {
-        switch (experiment.classifier().classify(record, fixed)) {
-          case analysis::MeasuredIntent::kMalicious:
-            return capture::SessionFrame::Verdict::kMalicious;
-          case analysis::MeasuredIntent::kBenign: return capture::SessionFrame::Verdict::kBenign;
-          case analysis::MeasuredIntent::kUnobservable: break;
-        }
-        return capture::SessionFrame::Verdict::kUnobservable;
-      };
+      options.verdict = analysis::frame_verdict(experiment.classifier(), fixed);
       out.frames.push_back(std::make_unique<capture::SessionFrame>(
           capture::SessionFrame::build(fixed, experiment.deployment(), std::move(options))));
       out.stores.push_back(std::move(store));

@@ -6,43 +6,6 @@
 
 namespace cw::analysis {
 
-BlocklistEvaluation evaluate_blocklist(const capture::EventStore& store,
-                                       const MaliciousClassifier& classifier,
-                                       const std::vector<topology::VantageId>& source,
-                                       const std::vector<topology::VantageId>& target,
-                                       std::string source_label, std::string target_label) {
-  BlocklistEvaluation evaluation;
-  evaluation.source_group = std::move(source_label);
-  evaluation.target_group = std::move(target_label);
-
-  std::unordered_set<std::uint32_t> blocklist;
-  for (const topology::VantageId id : source) {
-    for (const std::uint32_t index : store.for_vantage(id)) {
-      const capture::SessionRecord& record = store.records()[index];
-      if (classifier.classify(record, store) == MeasuredIntent::kMalicious) {
-        blocklist.insert(record.src);
-      }
-    }
-  }
-  evaluation.blocklist_size = blocklist.size();
-
-  std::unordered_set<std::uint32_t> target_attackers;
-  for (const topology::VantageId id : target) {
-    for (const std::uint32_t index : store.for_vantage(id)) {
-      const capture::SessionRecord& record = store.records()[index];
-      if (classifier.classify(record, store) != MeasuredIntent::kMalicious) continue;
-      target_attackers.insert(record.src);
-      ++evaluation.target_malicious_events;
-      if (blocklist.contains(record.src)) ++evaluation.blocked_events;
-    }
-  }
-  evaluation.target_attacker_ips = target_attackers.size();
-  for (const std::uint32_t ip : target_attackers) {
-    if (blocklist.contains(ip)) ++evaluation.covered_ips;
-  }
-  return evaluation;
-}
-
 BlocklistEvaluation evaluate_blocklist(const capture::SessionFrame& frame,
                                        const std::vector<topology::VantageId>& source,
                                        const std::vector<topology::VantageId>& target,
@@ -82,7 +45,7 @@ BlocklistEvaluation evaluate_blocklist(const capture::SessionFrame& frame,
 
 namespace {
 
-// Continental grouping shared by both matrix variants.
+// GreyNoise cloud vantage points grouped by continent.
 std::map<std::string, std::vector<topology::VantageId>> regional_groups(
     const topology::Deployment& deployment) {
   std::map<std::string, std::vector<topology::VantageId>> groups;
@@ -99,20 +62,6 @@ std::map<std::string, std::vector<topology::VantageId>> regional_groups(
 }
 
 }  // namespace
-
-std::vector<BlocklistEvaluation> regional_blocklist_matrix(
-    const capture::EventStore& store, const topology::Deployment& deployment,
-    const MaliciousClassifier& classifier) {
-  const auto groups = regional_groups(deployment);
-  std::vector<BlocklistEvaluation> matrix;
-  for (const auto& [source_label, source_ids] : groups) {
-    for (const auto& [target_label, target_ids] : groups) {
-      matrix.push_back(evaluate_blocklist(store, classifier, source_ids, target_ids,
-                                          source_label, target_label));
-    }
-  }
-  return matrix;
-}
 
 std::vector<BlocklistEvaluation> regional_blocklist_matrix(const capture::SessionFrame& frame) {
   const auto groups = regional_groups(frame.deployment());

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/malicious.h"
 #include "capture/frame.h"
 #include "topology/deployment.h"
 
@@ -39,14 +38,8 @@ struct BlocklistEvaluation {
 
 // Builds the list from `source` vantage points and evaluates it against
 // `target` vantage points (which may overlap; self-evaluation yields 100%).
-BlocklistEvaluation evaluate_blocklist(const capture::EventStore& store,
-                                       const MaliciousClassifier& classifier,
-                                       const std::vector<topology::VantageId>& source,
-                                       const std::vector<topology::VantageId>& target,
-                                       std::string source_label, std::string target_label);
-
-// Frame variant: reads the precomputed verdict column. The frame must have
-// been built with a verdict function; throws std::logic_error otherwise.
+// Reads the precomputed verdict column: the frame must have been built with
+// a verdict function; throws std::logic_error otherwise.
 BlocklistEvaluation evaluate_blocklist(const capture::SessionFrame& frame,
                                        const std::vector<topology::VantageId>& source,
                                        const std::vector<topology::VantageId>& target,
@@ -55,10 +48,6 @@ BlocklistEvaluation evaluate_blocklist(const capture::SessionFrame& frame,
 // The regional matrix the paper's recommendation asks about: GreyNoise
 // cloud vantage points grouped by continent (US / EU / AP), every source
 // group evaluated against every target group.
-std::vector<BlocklistEvaluation> regional_blocklist_matrix(
-    const capture::EventStore& store, const topology::Deployment& deployment,
-    const MaliciousClassifier& classifier);
-
 std::vector<BlocklistEvaluation> regional_blocklist_matrix(const capture::SessionFrame& frame);
 
 }  // namespace cw::analysis

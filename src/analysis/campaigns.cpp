@@ -10,18 +10,6 @@
 namespace cw::analysis {
 namespace {
 
-// The clustering key for a record: the normalized payload when present
-// (campaign tooling reuses byte-identical requests), otherwise the
-// credential stream is too individually variable, so credential-bearing
-// records key on the banner payload they ride with.
-std::string signature_of(const capture::SessionRecord& record,
-                         const capture::EventStore& store) {
-  if (record.payload_id != capture::kNoPayload) {
-    return proto::normalize_http_payload(store.payload(record.payload_id));
-  }
-  return {};
-}
-
 // Signature -> time-ordered (time, src, port) observations.
 struct Observation {
   util::SimTime time;
@@ -29,49 +17,6 @@ struct Observation {
   net::Port port;
 };
 using SignatureMap = std::unordered_map<std::string, std::vector<Observation>>;
-
-std::vector<InferredCampaign> segment_campaigns(SignatureMap& by_signature,
-                                                const CampaignInferenceOptions& options);
-
-}  // namespace
-
-std::vector<InferredCampaign> infer_campaigns(const capture::EventStore& store,
-                                              const CampaignInferenceOptions& options) {
-  SignatureMap by_signature;
-  for (const capture::SessionRecord& record : store.records()) {
-    const std::string signature = signature_of(record, store);
-    if (signature.empty()) continue;
-    by_signature[signature].push_back({record.time, record.src, record.port});
-  }
-  return segment_campaigns(by_signature, options);
-}
-
-std::vector<InferredCampaign> infer_campaigns(const capture::SessionFrame& frame,
-                                              const CampaignInferenceOptions& options) {
-  // Memoize the normalized signature per distinct payload (interner ids are
-  // dense). The records are still walked in store order so the signature
-  // map sees the identical key sequence as the store path — unordered_map
-  // iteration order, and hence the pre-sort campaign order, match exactly.
-  const capture::EventStore& store = frame.store();
-  std::vector<std::string> signature_cache(store.distinct_payloads());
-  std::vector<bool> cached(store.distinct_payloads(), false);
-  SignatureMap by_signature;
-  const std::uint32_t n = static_cast<std::uint32_t>(frame.size());
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!frame.has_payload(i)) continue;
-    const std::uint32_t payload_id = frame.payload_id(i);
-    if (!cached[payload_id]) {
-      signature_cache[payload_id] = proto::normalize_http_payload(store.payload(payload_id));
-      cached[payload_id] = true;
-    }
-    const std::string& signature = signature_cache[payload_id];
-    if (signature.empty()) continue;
-    by_signature[signature].push_back({frame.time(i), frame.src(i), frame.port(i)});
-  }
-  return segment_campaigns(by_signature, options);
-}
-
-namespace {
 
 std::vector<InferredCampaign> segment_campaigns(SignatureMap& by_signature,
                                                 const CampaignInferenceOptions& options) {
@@ -120,39 +65,29 @@ std::vector<InferredCampaign> segment_campaigns(SignatureMap& by_signature,
 
 }  // namespace
 
-CampaignValidation validate_campaigns(const capture::EventStore& store,
-                                      const std::vector<InferredCampaign>& campaigns,
-                                      const CampaignInferenceOptions& options) {
-  CampaignValidation validation;
-  validation.inferred = campaigns.size();
-
-  // Ground truth: source address -> actor, and actor -> active source count.
-  std::unordered_map<std::uint32_t, capture::ActorId> actor_of;
-  std::unordered_map<capture::ActorId, std::set<std::uint32_t>> sources_of;
-  for (const capture::SessionRecord& record : store.records()) {
-    actor_of[record.src] = record.actor;
-    sources_of[record.actor].insert(record.src);
-  }
-  std::set<capture::ActorId> true_campaigns;
-  for (const auto& [actor, sources] : sources_of) {
-    if (sources.size() >= options.min_sources) true_campaigns.insert(actor);
-  }
-  validation.true_campaigns = true_campaigns.size();
-
-  std::set<capture::ActorId> recovered;
-  for (const InferredCampaign& campaign : campaigns) {
-    std::set<capture::ActorId> actors;
-    for (const std::uint32_t src : campaign.sources) {
-      auto it = actor_of.find(src);
-      if (it != actor_of.end()) actors.insert(it->second);
+std::vector<InferredCampaign> infer_campaigns(const capture::SessionFrame& frame,
+                                              const CampaignInferenceOptions& options) {
+  // Memoize the normalized signature per distinct payload (interner ids are
+  // dense). The records are walked in store order, so the signature map sees
+  // the key sequence of a per-record scan — unordered_map iteration order,
+  // and hence the pre-sort campaign order, match the row-scan oracle's.
+  const capture::EventStore& store = frame.store();
+  std::vector<std::string> signature_cache(store.distinct_payloads());
+  std::vector<bool> cached(store.distinct_payloads(), false);
+  SignatureMap by_signature;
+  const std::uint32_t n = static_cast<std::uint32_t>(frame.size());
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (!frame.has_payload(i)) continue;
+    const std::uint32_t payload_id = frame.record(i).payload_id;  // store-local
+    if (!cached[payload_id]) {
+      signature_cache[payload_id] = proto::normalize_http_payload(store.payload(payload_id));
+      cached[payload_id] = true;
     }
-    if (actors.size() == 1) {
-      ++validation.pure;
-      if (true_campaigns.contains(*actors.begin())) recovered.insert(*actors.begin());
-    }
+    const std::string& signature = signature_cache[payload_id];
+    if (signature.empty()) continue;
+    by_signature[signature].push_back({frame.time(i), frame.src(i), frame.port(i)});
   }
-  validation.recovered = recovered.size();
-  return validation;
+  return segment_campaigns(by_signature, options);
 }
 
 CampaignValidation validate_campaigns(const capture::SessionFrame& frame,
@@ -161,8 +96,8 @@ CampaignValidation validate_campaigns(const capture::SessionFrame& frame,
   CampaignValidation validation;
   validation.inferred = campaigns.size();
 
-  // Ground truth from the src/actor columns; last write wins, matching the
-  // store path's record-order scan.
+  // Ground truth from the src/actor columns; last write wins in record
+  // order.
   std::unordered_map<std::uint32_t, capture::ActorId> actor_of;
   std::unordered_map<capture::ActorId, std::set<std::uint32_t>> sources_of;
   const std::uint32_t n = static_cast<std::uint32_t>(frame.size());

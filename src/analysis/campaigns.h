@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "capture/frame.h"
-#include "capture/store.h"
 #include "util/sim_time.h"
 
 namespace cw::analysis {
@@ -35,14 +34,11 @@ struct CampaignInferenceOptions {
   util::SimDuration max_gap = 2 * util::kDay;
 };
 
-// Clusters the store's payload-bearing records into campaigns. Records with
-// neither payload nor credential (telescope data) are ignored — inference
-// on telescopes requires payloads, one of the paper's core points.
-std::vector<InferredCampaign> infer_campaigns(const capture::EventStore& store,
-                                              const CampaignInferenceOptions& options = {});
-
-// Frame variant: normalizes each *distinct* payload once (signature
-// memoized by interner id) instead of re-normalizing per record.
+// Clusters a batch frame's payload-bearing records into campaigns,
+// normalizing each *distinct* payload once (signature memoized by the
+// store's interner id). Records without a payload (telescope data) are
+// ignored — inference on telescopes requires payloads, one of the paper's
+// core points. Reads the frame's store, so the frame must be hot.
 std::vector<InferredCampaign> infer_campaigns(const capture::SessionFrame& frame,
                                               const CampaignInferenceOptions& options = {});
 
@@ -64,10 +60,6 @@ struct CampaignValidation {
                : static_cast<double>(recovered) / static_cast<double>(true_campaigns);
   }
 };
-
-CampaignValidation validate_campaigns(const capture::EventStore& store,
-                                      const std::vector<InferredCampaign>& campaigns,
-                                      const CampaignInferenceOptions& options = {});
 
 CampaignValidation validate_campaigns(const capture::SessionFrame& frame,
                                       const std::vector<InferredCampaign>& campaigns,

@@ -34,8 +34,8 @@ bool in_scope(const capture::SessionFrame& frame, std::uint32_t index, TrafficSc
     case TrafficScope::kHttpAllPorts: {
       if (!frame.has_payload(index)) return false;
       if (frame.has_protocols()) return frame.protocol(index) == net::Protocol::kHttp;
-      return proto::Fingerprinter::identify(frame.store().payload(frame.payload_id(index))) ==
-             net::Protocol::kHttp;
+      const std::string& payload = frame.store().payload(frame.record(index).payload_id);
+      return proto::Fingerprinter::identify(payload) == net::Protocol::kHttp;
     }
     case TrafficScope::kAnyAll: return true;
   }

@@ -369,11 +369,8 @@ ClusterResult build_result(std::unordered_map<std::uint32_t, Accumulator>&& sour
 ClusterResult cluster_attackers(const std::vector<const capture::SessionFrame*>& frames,
                                 const ClusterOptions& options, const SegmentPager& pager) {
   std::unordered_map<std::uint32_t, Accumulator> sources;
-  for (std::size_t s = 0; s < frames.size(); ++s) {
-    if (pager) pager(s, true);
-    scan_frame(*frames[s], options, sources);
-    if (pager) pager(s, false);
-  }
+  for_each_frame(frames, pager,
+                 [&](const capture::SessionFrame& frame) { scan_frame(frame, options, sources); });
   return build_result(std::move(sources), options);
 }
 

@@ -15,7 +15,7 @@
 // Index. The whole pipeline is single-threaded and order-independent over
 // the frame, so cluster assignments are byte-identical at any --jobs — and
 // spill-mode per-segment frames fold into the same fingerprints the
-// cumulative frame produces.
+// batch frame produces.
 #pragma once
 
 #include <cstdint>

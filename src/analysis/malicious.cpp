@@ -51,4 +51,16 @@ std::pair<std::uint64_t, std::uint64_t> MaliciousClassifier::count(
   return count(frame.store(), indices);
 }
 
+capture::SessionFrame::VerdictFn frame_verdict(const MaliciousClassifier& classifier,
+                                               const capture::EventStore& store) {
+  return [&classifier, &store](const capture::SessionRecord& record) {
+    switch (classifier.classify(record, store)) {
+      case MeasuredIntent::kMalicious: return capture::SessionFrame::Verdict::kMalicious;
+      case MeasuredIntent::kBenign: return capture::SessionFrame::Verdict::kBenign;
+      case MeasuredIntent::kUnobservable: break;
+    }
+    return capture::SessionFrame::Verdict::kUnobservable;
+  };
+}
+
 }  // namespace cw::analysis

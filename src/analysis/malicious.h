@@ -31,10 +31,9 @@ class MaliciousClassifier {
   // (payload, port, transport) triples are memoized — campaign payloads
   // repeat millions of times. The memo key includes the store's uid: payload
   // ids are store-local, and one classifier serves many stores in stream
-  // mode (every sealed segment plus the merged snapshot replica), so a key
-  // without the store identity would alias unrelated payloads. Safe to call
-  // from concurrent analysis threads; the memo table is guarded by a
-  // reader/writer lock.
+  // mode (one per sealed segment), so a key without the store identity
+  // would alias unrelated payloads. Safe to call from concurrent analysis
+  // threads; the memo table is guarded by a reader/writer lock.
   MeasuredIntent classify(const capture::SessionRecord& record,
                           const capture::EventStore& store) const;
 
@@ -73,5 +72,13 @@ class MaliciousClassifier {
   mutable std::shared_mutex cache_mutex_;
   mutable std::unordered_map<VerdictKey, bool, VerdictKeyHash> verdict_cache_;
 };
+
+// The classifier as a frame's verdict column over `store`: the one mapping
+// of MeasuredIntent onto SessionFrame::Verdict, shared by the batch frame,
+// every sealed segment and the test oracle. Pure in (credential presence,
+// payload id, port, transport), so builds may set verdict_pure. Borrows both
+// arguments.
+capture::SessionFrame::VerdictFn frame_verdict(const MaliciousClassifier& classifier,
+                                               const capture::EventStore& store);
 
 }  // namespace cw::analysis

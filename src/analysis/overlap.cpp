@@ -114,11 +114,9 @@ std::vector<OverlapRow> scanner_overlap(const std::vector<const capture::Session
   PortSets cloud;
   PortSets edu;
   PortSets telescope;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    if (pager) pager(i, true);
-    accumulate_scanner(*frames[i], ports, excluded, cloud, edu, telescope);
-    if (pager) pager(i, false);
-  }
+  for_each_frame(frames, pager, [&](const capture::SessionFrame& frame) {
+    accumulate_scanner(frame, ports, excluded, cloud, edu, telescope);
+  });
   return scanner_rows(ports, cloud, edu, telescope);
 }
 
@@ -166,12 +164,10 @@ std::vector<MaliciousOverlapRow> attacker_overlap(
   PortSets telescope;
   PortFlags cloud_measurable;
   PortFlags edu_measurable;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    if (pager) pager(i, true);
-    accumulate_attacker(*frames[i], ports, excluded, malicious_cloud, malicious_edu, telescope,
+  for_each_frame(frames, pager, [&](const capture::SessionFrame& frame) {
+    accumulate_attacker(frame, ports, excluded, malicious_cloud, malicious_edu, telescope,
                         cloud_measurable, edu_measurable);
-    if (pager) pager(i, false);
-  }
+  });
   return attacker_rows(ports, malicious_cloud, malicious_edu, telescope, cloud_measurable,
                        edu_measurable);
 }

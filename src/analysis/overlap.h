@@ -34,6 +34,17 @@ struct OverlapRow {
 // frame is resident.
 using SegmentPager = std::function<void(std::size_t, bool)>;
 
+// Calls `visit(frame)` on each frame in order, paging it in around the call.
+template <typename Visit>
+void for_each_frame(const std::vector<const capture::SessionFrame*>& frames,
+                    const SegmentPager& pager, Visit&& visit) {
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if (pager) pager(i, true);
+    visit(*frames[i]);
+    if (pager) pager(i, false);
+  }
+}
+
 // Scans the frames in order (a batch corpus is the one-frame list; a spilled
 // one is its per-epoch segments), walking only the per-port posting lists.
 // Overlaps are set intersections over per-port source-IP sets, and set union

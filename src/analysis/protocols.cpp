@@ -5,26 +5,29 @@
 
 namespace cw::analysis {
 
-std::vector<ProtocolBreakdownRow> protocol_breakdown(const capture::SessionFrame& frame,
-                                                     const ProtocolOptions& options) {
+std::vector<ProtocolBreakdownRow> protocol_breakdown(
+    const std::vector<const capture::SessionFrame*>& frames, const ProtocolOptions& options,
+    const SegmentPager& pager) {
   ScannerMap scanners;
-  for (net::Port port : options.ports) {
-    frame.for_port(port).for_each([&](std::uint32_t index) {
-      if (!frame.has_payload(index)) return;
-      if (frame.collection_of(frame.vantage(index)) != topology::CollectionMethod::kHoneytrap) {
-        return;
-      }
-      const auto key = std::make_pair(port, frame.src(index));
-      if (scanners.contains(key)) return;  // first payload wins (ascending lists)
-      ScannerInfo info;
-      info.protocol = frame.has_protocols()
-                          ? frame.protocol(index)
-                          : proto::Fingerprinter::identify(
-                                frame.store().payload(frame.payload_id(index)));
-      info.actor = frame.actor(index);
-      scanners.emplace(key, info);
-    });
-  }
+  for_each_frame(frames, pager, [&](const capture::SessionFrame& frame) {
+    for (net::Port port : options.ports) {
+      frame.for_port(port).for_each([&](std::uint32_t index) {
+        if (!frame.has_payload(index)) return;
+        if (frame.collection_of(frame.vantage(index)) != topology::CollectionMethod::kHoneytrap) {
+          return;
+        }
+        const auto key = std::make_pair(port, frame.src(index));
+        if (scanners.contains(key)) return;  // first payload wins (frame order, ascending lists)
+        ScannerInfo info;
+        info.protocol = frame.has_protocols()
+                            ? frame.protocol(index)
+                            : proto::Fingerprinter::identify(
+                                  frame.store().payload(frame.record(index).payload_id));
+        info.actor = frame.actor(index);
+        scanners.emplace(key, info);
+      });
+    }
+  });
   return breakdown_rows(scanners, options);
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "analysis/oracle.h"
+#include "analysis/overlap.h"  // SegmentPager
 #include "capture/frame.h"
 #include "net/ports.h"
 #include "proto/fingerprint.h"
@@ -46,10 +47,14 @@ struct ProtocolOptions {
   const ReputationOracle* oracle = nullptr;
 };
 
-// Walks the per-port posting lists and reads the protocol column
-// (fingerprinted once per distinct payload at frame build).
-std::vector<ProtocolBreakdownRow> protocol_breakdown(const capture::SessionFrame& frame,
-                                                     const ProtocolOptions& options);
+// Walks the frames in order (a batch corpus is the one-frame list; a live
+// one its segments) over the per-port posting lists, reading the protocol
+// column (fingerprinted once per distinct payload at frame build). A
+// source's first payload on a port wins, so the rows equal one scan of the
+// concatenated corpus.
+std::vector<ProtocolBreakdownRow> protocol_breakdown(
+    const std::vector<const capture::SessionFrame*>& frames, const ProtocolOptions& options,
+    const SegmentPager& pager = {});
 
 // The row construction shared with the test suite's row-scan oracle. Per
 // (port, source): the fingerprint of the first payload the source sent, and

@@ -5,9 +5,12 @@
 
 namespace cw::analysis {
 
-std::vector<double> telescope_address_counts(const capture::SessionFrame& frame, net::Port port) {
+std::vector<double> telescope_address_counts(
+    const std::vector<const capture::SessionFrame*>& frames, net::Port port,
+    const SegmentPager& pager) {
+  if (frames.empty()) return {};
   const topology::VantagePoint* telescope = nullptr;
-  for (const topology::VantagePoint& vp : frame.deployment().vantage_points()) {
+  for (const topology::VantagePoint& vp : frames.front()->deployment().vantage_points()) {
     if (vp.type == topology::NetworkType::kTelescope) {
       telescope = &vp;
       break;
@@ -16,10 +19,12 @@ std::vector<double> telescope_address_counts(const capture::SessionFrame& frame,
   if (telescope == nullptr || telescope->addresses.empty()) return {};
 
   std::vector<std::pair<std::uint32_t, std::uint32_t>> hits;  // (neighbor, src)
-  const util::PostingView indices = frame.for_vantage_port(telescope->id, port);
-  hits.reserve(indices.size());
-  indices.for_each([&](std::uint32_t index) {
-    hits.emplace_back(frame.neighbor(index), frame.src(index));
+  for_each_frame(frames, pager, [&](const capture::SessionFrame& frame) {
+    const util::PostingView indices = frame.for_vantage_port(telescope->id, port);
+    if (hits.empty()) hits.reserve(indices.size());
+    indices.for_each([&](std::uint32_t index) {
+      hits.emplace_back(frame.neighbor(index), frame.src(index));
+    });
   });
   std::sort(hits.begin(), hits.end());
   hits.erase(std::unique(hits.begin(), hits.end()), hits.end());

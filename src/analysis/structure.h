@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "analysis/overlap.h"  // SegmentPager
 #include "capture/collector.h"
 #include "capture/frame.h"
 #include "net/ports.h"
@@ -15,9 +16,13 @@
 namespace cw::analysis {
 
 // Unique scanning sources per telescope address on one port, indexed by the
-// address's position in the telescope vantage point (contiguous order). Reads
-// the telescope's per-(vantage, port) posting list.
-std::vector<double> telescope_address_counts(const capture::SessionFrame& frame, net::Port port);
+// address's position in the telescope vantage point (contiguous order).
+// Reads the telescope's per-(vantage, port) posting list of every frame (a
+// batch corpus is the one-frame list; a live one its segments) and counts
+// distinct (address, source) pairs across all of them.
+std::vector<double> telescope_address_counts(
+    const std::vector<const capture::SessionFrame*>& frames, net::Port port,
+    const SegmentPager& pager = {});
 
 struct StructureStats {
   double mean_any_255 = 0.0;   // addresses with a 255 octet anywhere

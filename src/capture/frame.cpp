@@ -152,17 +152,21 @@ SessionFrame SessionFrame::build(const EventStore& store,
     frame.has_protocols_ = true;
   }
   payload_shifted.resize(distinct_payloads, 0);
+  std::vector<std::uint32_t> payload_ordinal;  // shared mode: store id -> memo ordinal
 
   if (shared != nullptr) {
     // Sequential first-sight encode in payload-id (= store record) order.
     auto& payload_dict = *shared->dicts[column_index(CodedColumn::kPayload)];
+    payload_ordinal.resize(distinct_payloads);
     for (std::size_t id = 0; id < distinct_payloads; ++id) {
       const std::string& raw = store.payload(static_cast<std::uint32_t>(id));
       auto [it, inserted] = shared->payload_memo.try_emplace(raw);
       if (inserted) {
+        it->second.ordinal = static_cast<std::uint32_t>(shared->payload_memo.size() - 1);
         it->second.protocol = proto::Fingerprinter::identify(raw);
         it->second.shifted_code = payload_dict.encode(proto::normalize_http_payload(raw)) + 1;
       }
+      payload_ordinal[id] = it->second.ordinal;
       payload_shifted[id] = it->second.shifted_code;
       if (frame.has_protocols_) payload_protocol[id] = it->second.protocol;
     }
@@ -251,6 +255,7 @@ SessionFrame SessionFrame::build(const EventStore& store,
       if (record.handshake_completed) flags |= kHandshake;
       frame.flags_[i] = flags;
       if (record.payload_id != kNoPayload) {
+        if (shared != nullptr) frame.payload_id_[i] = payload_ordinal[record.payload_id];
         if (frame.has_protocols_) frame.protocol_[i] = payload_protocol[record.payload_id];
         payload_codes[i] = payload_shifted[record.payload_id];
       }

@@ -96,9 +96,12 @@ struct SharedFrameDicts {
 
   std::array<std::shared_ptr<util::Dictionary>, kCodedColumns> dicts;
 
-  // Raw payload text -> (shifted normalized-payload code, protocol). One
-  // normalization + LZR fingerprint per novel payload per experiment.
+  // Raw payload text -> (first-sight ordinal, shifted normalized-payload
+  // code, protocol). One normalization + LZR fingerprint per novel payload
+  // per experiment. The ordinal is the payload's corpus-wide identity: frames
+  // built against these dictionaries carry it in their payload_id column.
   struct PayloadInfo {
+    std::uint32_t ordinal = 0;
     std::uint32_t shifted_code = 0;
     net::Protocol protocol = net::Protocol::kUnknown;
   };
@@ -178,6 +181,10 @@ class SessionFrame {
   [[nodiscard]] net::Port port(std::uint32_t i) const { return port_[i]; }
   [[nodiscard]] topology::VantageId vantage(std::uint32_t i) const { return vantage_[i]; }
   [[nodiscard]] std::uint16_t neighbor(std::uint32_t i) const { return neighbor_[i]; }
+  // The record's raw-payload identity (kNoPayload when none). A batch frame
+  // carries the store's interner id; a frame built against SharedFrameDicts
+  // carries the payload's first-sight ordinal across every frame sharing
+  // them, so equal ids mean equal payloads across segments and spills.
   [[nodiscard]] std::uint32_t payload_id(std::uint32_t i) const { return payload_id_[i]; }
   [[nodiscard]] std::uint32_t credential_id(std::uint32_t i) const { return credential_id_[i]; }
   [[nodiscard]] ActorId actor(std::uint32_t i) const { return actor_[i]; }

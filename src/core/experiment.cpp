@@ -1,24 +1,21 @@
 #include "core/experiment.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "ids/ruleset.h"
 
 namespace cw::core {
 
 const capture::SessionFrame& ExperimentResult::frame(runner::ThreadPool* pool) const {
+  if (!segment_frames_.empty()) {
+    throw std::logic_error("ExperimentResult::frame: the corpus is bound segments; read frames()");
+  }
   std::call_once(*frame_once_, [this, pool] {
     const capture::EventStore& source = store();
     capture::SessionFrame::BuildOptions options;
     options.pool = pool;
-    options.verdict = [this, &source](const capture::SessionRecord& record) {
-      switch (classifier_->classify(record, source)) {
-        case analysis::MeasuredIntent::kMalicious: return capture::SessionFrame::Verdict::kMalicious;
-        case analysis::MeasuredIntent::kBenign: return capture::SessionFrame::Verdict::kBenign;
-        case analysis::MeasuredIntent::kUnobservable: break;
-      }
-      return capture::SessionFrame::Verdict::kUnobservable;
-    };
+    options.verdict = analysis::frame_verdict(*classifier_, source);
     // MaliciousClassifier::classify depends only on (credential presence,
     // payload id, port, transport); declaring that lets the build memoize
     // one verdict per distinct tuple instead of classifying every record.
@@ -31,25 +28,13 @@ const capture::SessionFrame& ExperimentResult::frame(runner::ThreadPool* pool) c
 
 const analysis::CharacteristicTableCache& ExperimentResult::table_cache(
     runner::ThreadPool* pool) const {
-  if (external_cache_ != nullptr) return *external_cache_;
+  if (segment_cache_ != nullptr) return *segment_cache_;
   std::call_once(*cache_once_, [this, pool] {
-    table_cache_ =
-        std::make_unique<analysis::CharacteristicTableCache>(frame(pool), *classifier_);
+    // Unbound here, so frames() is the one batch frame.
+    table_cache_ = std::make_unique<analysis::CharacteristicTableCache>(*frames(pool).front(),
+                                                                        *classifier_);
   });
   return *table_cache_;
-}
-
-void ExperimentResult::rebind_store(const capture::EventStore* store,
-                                    const analysis::CharacteristicTableCache* cache) {
-  release_derived();
-  external_store_ = store;
-  external_cache_ = cache;
-}
-
-void ExperimentResult::bind_segment_frames(std::vector<const capture::SessionFrame*> frames,
-                                           analysis::SegmentPager pager) {
-  segment_frames_ = std::move(frames);
-  segment_pager_ = std::move(pager);
 }
 
 std::vector<const capture::SessionFrame*> ExperimentResult::frames(
@@ -58,12 +43,12 @@ std::vector<const capture::SessionFrame*> ExperimentResult::frames(
   return {&frame(pool)};
 }
 
-void ExperimentResult::release_derived() {
-  // The cold cache borrows the frame; tear down in dependency order.
-  table_cache_.reset();
-  cache_once_ = std::make_unique<std::once_flag>();
-  frame_.reset();  // unpins the store it was built over
-  frame_once_ = std::make_unique<std::once_flag>();
+void ExperimentResult::bind_segments(std::vector<const capture::SessionFrame*> frames,
+                                     const analysis::CharacteristicTableCache* cache,
+                                     analysis::SegmentPager pager) {
+  segment_frames_ = std::move(frames);
+  segment_cache_ = cache;
+  segment_pager_ = std::move(pager);
 }
 
 LiveExperiment::LiveExperiment(ExperimentConfig config)

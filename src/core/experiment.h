@@ -7,7 +7,7 @@
 //   cw::core::ExperimentConfig config;
 //   config.scale = 0.5;
 //   auto result = cw::core::Experiment(config).run();
-//   // result->store(), result->deployment(), result->classifier(), ...
+//   // result->frames(), result->deployment(), result->classifier(), ...
 #pragma once
 
 #include <memory>
@@ -66,12 +66,10 @@ class ExperimentResult {
   [[nodiscard]] const ExperimentConfig& config() const noexcept { return config_; }
   [[nodiscard]] const topology::Deployment& deployment() const noexcept { return deployment_; }
   [[nodiscard]] const topology::TargetUniverse& universe() const noexcept { return *universe_; }
-  // The record source every analysis reads. Normally the collector's store;
-  // in stream mode, the externally bound merged-snapshot replica (see
-  // rebind_store below).
-  [[nodiscard]] const capture::EventStore& store() const noexcept {
-    return external_store_ != nullptr ? *external_store_ : collector_->store();
-  }
+  // The collector's record store: the whole corpus of a batch run. A live
+  // run routes capture into sealed segments instead (see bind_segments), so
+  // there this store stays empty and analyses read frames().
+  [[nodiscard]] const capture::EventStore& store() const noexcept { return collector_->store(); }
   [[nodiscard]] const capture::Collector& collector() const noexcept { return *collector_; }
   [[nodiscard]] const analysis::MaliciousClassifier& classifier() const noexcept {
     return *classifier_;
@@ -86,55 +84,38 @@ class ExperimentResult {
   // (thread-safe) and reused by every table renderer. The verdict column
   // wraps this result's classifier, so frame-backed pipelines agree with
   // per-record classification bit for bit. Pass a pool to shard the first
-  // build; later calls ignore it and return the cached frame.
+  // build; later calls ignore it and return the cached frame. Batch corpora
+  // only: on a segment-bound result it throws std::logic_error, because the
+  // store it would project is empty.
   [[nodiscard]] const capture::SessionFrame& frame(runner::ThreadPool* pool = nullptr) const;
 
-  // The shared characteristic-table cache over this result's frame, built
-  // lazily like frame() (a pool passed here shards the frame build if it is
-  // the first frame() caller; cached tables shard through the pool their
-  // first *reader* supplies). Every table renderer that names the same
+  // The shared characteristic-table cache: the bound segment cache, or one
+  // built lazily over frame() (a pool passed here shards the frame build if
+  // it is the first frame() caller; cached tables shard through the pool
+  // their first *reader* supplies). Every table renderer that names the same
   // (vantage, scope, characteristic) side shares one materialization.
   [[nodiscard]] const analysis::CharacteristicTableCache& table_cache(
       runner::ThreadPool* pool = nullptr) const;
 
-  // --- stream support (src/stream) -----------------------------------------
-  // A live run re-renders the paper tables every epoch over a growing
-  // corpus. rebind_store() points the result's record source at an
-  // externally assembled store — the stream driver's merged-snapshot replica
-  // — and optionally overrides table_cache() with the stream layer's
-  // segment-merging cache; both are borrowed and must outlive the result or
-  // the next rebind. Passing nullptrs restores the collector's own store and
-  // the lazily built cache. Every rebind (and release_derived()) drops the
-  // cached frame and cold cache, so the next frame() call rebuilds over the
-  // current source.
-  void rebind_store(const capture::EventStore* store,
-                    const analysis::CharacteristicTableCache* cache);
-
-  // Drops the cached frame/table-cache and unpins the source store, so the
-  // stream driver may append the next epoch's records to it. frame()
-  // rebuilds on next use.
-  void release_derived();
-
-  // Out-of-core stream mode: registers the sealed per-segment frames (and
-  // the pager that maps a spilled one in around a scan) so frames() hands
-  // the frame-scanning analyses (Tables 8/9) the segments instead of a
-  // cumulative corpus frame — which a spill run never builds. Borrowed like
-  // the rebind pointers; an empty vector restores the cumulative frame.
-  void bind_segment_frames(std::vector<const capture::SessionFrame*> frames,
-                           analysis::SegmentPager pager);
-  [[nodiscard]] const std::vector<const capture::SessionFrame*>& segment_frames() const noexcept {
-    return segment_frames_;
-  }
+  // The corpus every renderer reads: the bound segment frames in epoch
+  // order, or the one batch frame(pool). Pass segment_pager() alongside; it
+  // is empty unless segments are bound.
+  [[nodiscard]] std::vector<const capture::SessionFrame*> frames(
+      runner::ThreadPool* pool = nullptr) const;
   [[nodiscard]] const analysis::SegmentPager& segment_pager() const noexcept {
     return segment_pager_;
   }
 
-  // The corpus as the frame list the frame-scanning analyses (overlaps,
-  // clustering, co-location) take: the bound segment frames, or the one
-  // cumulative frame(pool). Pass segment_pager() alongside; it is empty
-  // unless segments are bound.
-  [[nodiscard]] std::vector<const capture::SessionFrame*> frames(
-      runner::ThreadPool* pool = nullptr) const;
+  // --- stream support (src/stream) -----------------------------------------
+  // A live run's corpus is its sealed segments. bind_segments() makes
+  // frames() return their frames (in epoch order) and table_cache() return
+  // the stream layer's segment-merging cache; `pager` maps a spilled
+  // segment in around each scan (empty when every frame is resident). All
+  // three are borrowed and must stay valid until the next bind or the
+  // result's last read. A driver re-binds after every seal.
+  void bind_segments(std::vector<const capture::SessionFrame*> frames,
+                     const analysis::CharacteristicTableCache* cache,
+                     analysis::SegmentPager pager);
 
  private:
   friend class Experiment;
@@ -150,11 +131,9 @@ class ExperimentResult {
   std::unique_ptr<analysis::MaliciousClassifier> classifier_;
   std::unique_ptr<analysis::ReputationOracle> oracle_;
   std::uint64_t events_processed_ = 0;
-  // Stream mode: external record source / table cache (borrowed).
-  const capture::EventStore* external_store_ = nullptr;
-  const analysis::CharacteristicTableCache* external_cache_ = nullptr;
-  // Out-of-core stream mode: per-segment frames + pager (borrowed).
+  // Stream mode: the sealed segments' frames, cache and pager (borrowed).
   std::vector<const capture::SessionFrame*> segment_frames_;
+  const analysis::CharacteristicTableCache* segment_cache_ = nullptr;
   analysis::SegmentPager segment_pager_;
   // Lazy frame cache. The once_flag lives behind a pointer so the result
   // stays movable.

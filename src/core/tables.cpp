@@ -62,18 +62,23 @@ std::string render_table1(const ExperimentResult& result) {
     }
   }
 
-  const capture::SessionFrame& frame = result.frame();
+  const auto frames = result.frames();
   for (const RowKey& row : rows) {
     std::unordered_set<std::uint32_t> ips;
     std::unordered_set<std::uint32_t> ases;
     std::size_t addresses = 0;
     for (topology::VantageId id : row.vantages) {
       addresses += result.deployment().at(id).addresses.size();
-      for (std::uint32_t index : frame.for_vantage(id)) {
-        ips.insert(frame.src(index));
-        ases.insert(frame.src_as(index));
-      }
     }
+    analysis::for_each_frame(
+        frames, result.segment_pager(), [&](const capture::SessionFrame& frame) {
+          for (topology::VantageId id : row.vantages) {
+            for (std::uint32_t index : frame.for_vantage(id)) {
+              ips.insert(frame.src(index));
+              ases.insert(frame.src_as(index));
+            }
+          }
+        });
     table.add_row({row.name, std::string(topology::network_type_name(row.type)),
                    std::string(topology::collection_method_name(row.collection)),
                    std::to_string(addresses), std::to_string(ips.size()),
@@ -393,7 +398,8 @@ namespace {
 std::string render_protocols(const ExperimentResult& result, bool with_oracle) {
   analysis::ProtocolOptions options;
   if (with_oracle) options.oracle = &result.oracle();
-  const auto rows = analysis::protocol_breakdown(result.frame(), options);
+  const auto rows =
+      analysis::protocol_breakdown(result.frames(), options, result.segment_pager());
 
   std::vector<std::string> header = {"Protocol/Port", "Breakdown"};
   if (with_oracle) {
@@ -446,29 +452,34 @@ std::string render_table17(const ExperimentResult& result) {
 }
 
 std::string render_sec32(const ExperimentResult& result) {
-  const capture::SessionFrame& frame = result.frame();
   std::uint64_t telnet_total = 0, telnet_auth = 0;
   std::uint64_t ssh_total = 0, ssh_auth = 0;
   std::uint64_t http_total = 0, http_exploit = 0;
+  // Payload ids name one raw payload across the whole corpus (see
+  // SessionFrame::payload_id), so the distinct sets union across frames.
   std::set<std::uint32_t> http_payload_ids;
   std::set<std::uint32_t> http_malicious_ids;
 
-  for (std::uint32_t i = 0; i < frame.size(); ++i) {
-    if (!frame.has_payload(i) && !frame.has_credential(i)) continue;
-    if (frame.port(i) == 23) {
-      ++telnet_total;
-      if (frame.has_credential(i)) ++telnet_auth;
-    } else if (frame.port(i) == 22) {
-      ++ssh_total;
-      if (frame.has_credential(i)) ++ssh_auth;
-    } else if (frame.port(i) == 80 && frame.has_payload(i)) {
-      ++http_total;
-      const bool malicious = frame.verdict(i) == capture::SessionFrame::Verdict::kMalicious;
-      if (malicious) ++http_exploit;
-      http_payload_ids.insert(frame.payload_id(i));
-      if (malicious) http_malicious_ids.insert(frame.payload_id(i));
-    }
-  }
+  analysis::for_each_frame(
+      result.frames(), result.segment_pager(), [&](const capture::SessionFrame& frame) {
+        for (std::uint32_t i = 0; i < frame.size(); ++i) {
+          if (!frame.has_payload(i) && !frame.has_credential(i)) continue;
+          if (frame.port(i) == 23) {
+            ++telnet_total;
+            if (frame.has_credential(i)) ++telnet_auth;
+          } else if (frame.port(i) == 22) {
+            ++ssh_total;
+            if (frame.has_credential(i)) ++ssh_auth;
+          } else if (frame.port(i) == 80 && frame.has_payload(i)) {
+            ++http_total;
+            const bool malicious =
+                frame.verdict(i) == capture::SessionFrame::Verdict::kMalicious;
+            if (malicious) ++http_exploit;
+            http_payload_ids.insert(frame.payload_id(i));
+            if (malicious) http_malicious_ids.insert(frame.payload_id(i));
+          }
+        }
+      });
 
   auto ratio = [](std::uint64_t num, std::uint64_t den) {
     return den == 0 ? 0.0 : 100.0 * static_cast<double>(num) / static_cast<double>(den);
@@ -488,7 +499,8 @@ std::string render_sec32(const ExperimentResult& result) {
 
 std::string render_figure1(const ExperimentResult& result, net::Port port,
                            std::size_t rolling_window, std::size_t buckets) {
-  const std::vector<double> counts = analysis::telescope_address_counts(result.frame(), port);
+  const std::vector<double> counts =
+      analysis::telescope_address_counts(result.frames(), port, result.segment_pager());
   if (counts.empty()) return "no telescope data\n";
   const std::vector<double> rolled = stats::rolling_average(counts, rolling_window);
 

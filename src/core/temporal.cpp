@@ -42,7 +42,8 @@ std::optional<double> apac_minus_us_similarity(const ExperimentResult& result) {
 std::optional<double> unexpected_share(const ExperimentResult& result, net::Port port) {
   analysis::ProtocolOptions options;
   options.ports = {port};
-  const auto rows = analysis::protocol_breakdown(result.frame(), options);
+  const auto rows =
+      analysis::protocol_breakdown(result.frames(), options, result.segment_pager());
   if (rows.empty() || rows.front().scanners_total == 0) return std::nullopt;
   return rows.front().pct_unexpected;
 }

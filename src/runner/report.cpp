@@ -8,7 +8,8 @@ namespace cw::runner {
 
 std::vector<Pipeline> paper_report_pipelines(const core::ExperimentResult& result,
                                              const ReportOptions& options) {
-  const std::uint64_t records = result.store().size();
+  std::uint64_t records = 0;
+  for (const capture::SessionFrame* frame : result.frames()) records += frame->size();
   std::vector<Pipeline> pipelines;
 
   auto add = [&](std::string name, std::function<std::string()> run) {

@@ -240,7 +240,7 @@ analysis::ClusterScores extract_clusters(const core::ExperimentResult& result,
 namespace {
 
 // Per-city probe tally, accumulated frame by frame (so the spill path folds
-// segments into the same totals the cumulative frame produces).
+// segments into the same totals the batch frame produces).
 struct CityTally {
   std::uint64_t records = 0;
   // src -> distinct vantage ids hit in this city; a source touching >= 2 is
@@ -271,13 +271,10 @@ std::string render_colocation(const core::ExperimentResult& result,
                               const AnalysisOptions& options, ThreadPool* pool) {
   const auto cities = result.deployment().colocated_clouds();
   std::vector<CityTally> tallies(cities.size());
-  const auto frames = result.frames(pool);
-  const analysis::SegmentPager& pager = result.segment_pager();
-  for (std::size_t s = 0; s < frames.size(); ++s) {
-    if (pager) pager(s, true);
-    tally_colocation(*frames[s], options.colocation_port, cities, tallies);
-    if (pager) pager(s, false);
-  }
+  analysis::for_each_frame(
+      result.frames(pool), result.segment_pager(), [&](const capture::SessionFrame& frame) {
+        tally_colocation(frame, options.colocation_port, cities, tallies);
+      });
   std::string out = format("\n### co-location probes (port %u)\n\n",
                            static_cast<unsigned>(options.colocation_port));
   for (std::size_t c = 0; c < cities.size(); ++c) {

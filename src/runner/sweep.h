@@ -87,7 +87,7 @@ CellFindings extract_findings(const core::ExperimentResult& result,
 
 // Clusters the corpus's malicious sources and scores them against ground
 // truth (options.cluster). Walks the result's segment frames when bound
-// (spill mode), else the cumulative frame — identical scores either way.
+// (spill mode), else the batch frame — identical scores either way.
 analysis::ClusterScores extract_clusters(const core::ExperimentResult& result,
                                          const AnalysisOptions& options,
                                          ThreadPool* pool = nullptr);

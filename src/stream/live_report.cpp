@@ -1,122 +1,46 @@
 #include "stream/live_report.h"
 
-#include <filesystem>
 #include <stdexcept>
-#include <system_error>
 
 #include "runner/pipeline.h"
 #include "runner/thread_pool.h"
+#include "stream/seal.h"
 
 namespace cw::stream {
 
 EpochReport LiveReport::run(const EpochCallback& callback) {
   const std::size_t epochs = config_.epochs == 0 ? 1 : config_.epochs;
-
-  if (!config_.spill_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(config_.spill_dir, ec);
-    if (ec) throw std::runtime_error("LiveReport: cannot create " + config_.spill_dir);
-  }
-
   core::LiveExperiment live(config_.experiment);
-  IngestShards ingest(config_.shards);
-
-  // Route live capture into the shard buffers; the collector's own store
-  // stays empty for the whole run.
-  live.collector().set_store_sink(
-      [&ingest](const capture::SessionRecord& record, std::string_view payload,
-                const std::optional<proto::Credential>& credential) {
-        ingest.append(ingest.shard_of(record), record, payload, credential);
-      });
-
-  const analysis::MaliciousClassifier& classifier = live.result().classifier();
-  const VerdictFactory verdict = [&classifier](const capture::EventStore& store) {
-    return [&classifier, &store](const capture::SessionRecord& record) {
-      switch (classifier.classify(record, store)) {
-        case analysis::MeasuredIntent::kMalicious: return capture::SessionFrame::Verdict::kMalicious;
-        case analysis::MeasuredIntent::kBenign: return capture::SessionFrame::Verdict::kBenign;
-        case analysis::MeasuredIntent::kUnobservable: break;
-      }
-      return capture::SessionFrame::Verdict::kUnobservable;
-    };
-  };
-
-  analysis::SegmentedTableCache segmented(classifier);
-  // Cumulative store replica: every sealed segment's records re-appended in
-  // segment order. The light renderers (sets, overlaps, Figure 1) re-read
-  // this whole replica each epoch; the heavy tables never touch it — they go
-  // through `segmented`, which only builds the newest segment's partials.
-  capture::EventStore total;
-
+  core::ExperimentResult& result = live.result();
+  analysis::SegmentedTableCache segmented(result.classifier());
   runner::ThreadPool pool(config_.jobs);
+
+  SealOptions seal;
+  seal.epochs = epochs;
+  seal.shards = config_.shards;
+  seal.spill_dir = config_.spill_dir;
+  seal.hot_segments = config_.hot_segments;
+
   EpochReport report;
-
-  for (std::size_t k = 1; k <= epochs; ++k) {
-    // Integer slice boundaries; the last is exactly the configured duration.
-    const util::SimTime boundary = static_cast<util::SimTime>(
-        (static_cast<unsigned long long>(config_.experiment.duration) * k) / epochs);
-    live.advance_to(k == epochs ? config_.experiment.duration : boundary);
-
-    // The factory above wraps the classifier, which is pure in (credential
-    // presence, payload id, port, transport) — declare it so the seal
-    // memoizes classification per distinct tuple.
-    const EpochSnapshot snapshot =
-        ingest.seal_epoch(live.result().deployment(), verdict, &pool, /*verdict_pure=*/true);
-    const Segment& segment = *snapshot.segments().back();
-    segmented.add_segment(segment.frame());
-
-    // Unpin the replica (the previous epoch's cumulative frame holds a pin)
-    // before extending it with the new segment's records.
-    live.result().release_derived();
-    const capture::EventStore& sealed = segment.store();
-    for (const capture::SessionRecord& record : sealed.records()) {
-      const std::string_view payload = record.payload_id == capture::kNoPayload
-                                           ? std::string_view{}
-                                           : std::string_view(sealed.payload(record.payload_id));
-      std::optional<proto::Credential> credential;
-      if (record.credential_id != capture::kNoCredential) {
-        credential = sealed.credential(record.credential_id);
-      }
-      total.append(record, payload, credential);
-    }
-    total.freeze();
-    live.result().rebind_store(&total, &segmented);
-
-    // Tiering: demote everything but the newest hot_segments. Safe at this
-    // point — the segment's partials that exist are owned copies inside
-    // `segmented`, and its records are in the replica; partials not yet
-    // built rebuild from the mapping the render block below re-establishes.
-    // spill() is idempotent; release_mapping() after it returns the address
-    // space immediately, so between renders the cold tail costs nothing.
-    if (!config_.spill_dir.empty()) {
-      const auto& segments = snapshot.segments();
-      const std::size_t cold = segments.size() > config_.hot_segments
-                                   ? segments.size() - config_.hot_segments
-                                   : 0;
-      for (std::size_t i = 0; i < cold; ++i) {
-        const Segment& old = *segments[i];
-        if (old.spilled()) continue;
-        std::string spill_error;
-        if (!old.spill(config_.spill_dir, &spill_error)) {
-          throw std::runtime_error("LiveReport: " + spill_error);
-        }
-        old.release_mapping();
-      }
-    }
+  seal_epochs(live, seal, segmented, &pool, [&](std::size_t k, const EpochSnapshot& snapshot) {
+    // The corpus is the segment list; every renderer reads it through the
+    // result. No pager: the render below maps every spilled segment itself.
+    result.bind_segments(snapshot.frames(), &segmented, {});
 
     report = EpochReport{};
     report.epoch = k;
     report.now = live.now();
-    report.records_total = total.size();
-    report.records_new = segment.size();
+    report.records_total = snapshot.size();
+    report.records_new = snapshot.segments().back()->size();
     report.snapshot = snapshot;
 
     if (config_.render_intermediate || k == epochs) {
-      // Map every spilled segment for the duration of the render: partials
-      // not built while the segment was hot (e.g. with render_intermediate
-      // off, or for slices first named this epoch) rebuild from the mapping,
-      // and madvise(SEQUENTIAL) primes the full-column scans. Released again
-      // after the render — the address space is only held while reading.
+      // Map every spilled segment for the duration of the render: the frame
+      // scans read them, partials not built while the segment was hot (e.g.
+      // with render_intermediate off, or for slices first named this epoch)
+      // rebuild from the mapping, and madvise(SEQUENTIAL) primes the
+      // full-column scans. Released again after the render — the address
+      // space is only held while reading.
       for (const auto& segment : snapshot.segments()) {
         if (!segment->spilled()) continue;
         std::string map_error;
@@ -125,10 +49,7 @@ EpochReport LiveReport::run(const EpochCallback& callback) {
         }
         segment->advise_sequential();
       }
-      // Same warm-up order as the batch driver: cumulative frame first, then
-      // the pipelines fan out over it and the segmented cache.
-      static_cast<void>(live.result().frame(&pool));
-      const auto pipelines = runner::paper_report_pipelines(live.result(), config_.report);
+      const auto pipelines = runner::paper_report_pipelines(result, config_.report);
       auto run = runner::run_pipelines(pipelines, config_.jobs);
       report.rendered = true;
       report.names.reserve(pipelines.size());
@@ -139,18 +60,13 @@ EpochReport LiveReport::run(const EpochCallback& callback) {
       if (config_.extract_findings) {
         // After the render the shared table cache is warm, so the seven
         // extractors mostly re-read tables the pipelines already built.
-        report.findings = runner::extract_findings(live.result(), runner::AnalysisOptions{}, &pool);
+        report.findings = runner::extract_findings(result, runner::AnalysisOptions{}, &pool);
         report.findings_extracted = true;
       }
-      // Render done; drop the cold tail's mappings until the next one.
       for (const auto& segment : snapshot.segments()) segment->release_mapping();
     }
     if (callback) callback(report);
-  }
-
-  // `total`/`segmented` are declared after `live` and die first; drop the
-  // result's frame (which pins `total`) and external bindings before they do.
-  live.result().rebind_store(nullptr, nullptr);
+  });
   return report;
 }
 

@@ -1,21 +1,24 @@
 // LiveReport: the continuously-serving driver over the stream subsystem.
 //
-// Runs the simulated observation window in wall-clock slices. During each
-// slice the collector's capture sink routes every record into
-// stream::IngestShards; at the slice boundary the driver seals an epoch
-// segment, folds its partial tables into an analysis::SegmentedTableCache,
-// extends a cumulative store replica, and re-renders the full paper report
-// through the same runner::paper_report_pipelines the batch path uses.
+// Runs the simulated observation window in wall-clock slices
+// (stream::seal_epochs). During each slice the collector's capture sink
+// routes every record into stream::IngestShards; at the slice boundary the
+// epoch's records seal into an immutable segment, whose partial tables fold
+// into an analysis::SegmentedTableCache. The driver then binds the segment
+// list to the result and re-renders the full paper report through the same
+// runner::paper_report_pipelines the batch path uses. The segments are the
+// only copy of the corpus.
 //
-// The load-bearing invariant (enforced by tests and scripts/check.sh): after
-// the final epoch the rendered report is byte-identical to the one-shot
-// batch report over the same configuration — at any --jobs, any shard
-// count, and any epoch slicing. Heavy tables get there incrementally (the
-// segmented cache merges per-segment partials, rebuilding only the newest);
-// the remaining renderers re-read the cumulative replica, whose record
-// order differs from the batch store's only by a permutation that every
-// renderer is invariant to (sets, text-keyed exact counts, per-key
-// extrema).
+// The load-bearing invariant (enforced by tests and scripts/check.sh): each
+// epoch renders exactly the bytes of the one-shot batch report of a run
+// stopped at that epoch's boundary — so the final epoch equals the batch
+// report over the same configuration — at any --jobs, any shard count, and
+// any epoch slicing. Every renderer reads the frame list or the segmented
+// cache, and each is invariant to how the corpus is cut and ordered:
+// frequency tables merge text-keyed exact counts, distinct-source and
+// distinct-payload sets union across segments (payload ids are corpus-wide,
+// see SessionFrame::payload_id), counts sum, and Tables 11/17 keep a
+// source's first payload walking the segments in epoch order.
 #pragma once
 
 #include <cstdint>
@@ -52,11 +55,11 @@ struct LiveReportConfig {
   // Out-of-core tiering: when non-empty, segments older than the newest
   // `hot_segments` spill to `<spill_dir>/segment-<id>.cwds` after their
   // partial tables are folded into the segmented cache, and their record
-  // stores, frames, and mappings are released. The rendered report is
-  // byte-identical either way — heavy tables merge from the (copied) cached
-  // partials and light renderers read the cumulative replica, so cold
-  // segments are never consulted. hot_segments = SIZE_MAX keeps everything
-  // resident even with a spill dir (useful for A/B checks of the spill I/O).
+  // stores, frames, and mappings are released. Each render maps every
+  // spilled segment for its frame scans and unmaps them after, so the
+  // rendered report is byte-identical either way. hot_segments = SIZE_MAX
+  // keeps everything resident even with a spill dir (useful for A/B checks
+  // of the spill I/O).
   std::string spill_dir;
   std::size_t hot_segments = static_cast<std::size_t>(-1);
 };

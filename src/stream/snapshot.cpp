@@ -98,4 +98,11 @@ EpochSnapshot EpochSnapshot::extend(const EpochSnapshot& prev,
   return next;
 }
 
+std::vector<const capture::SessionFrame*> EpochSnapshot::frames() const {
+  std::vector<const capture::SessionFrame*> out;
+  out.reserve(segments_.size());
+  for (const auto& segment : segments_) out.push_back(&segment->frame());
+  return out;
+}
+
 }  // namespace cw::stream

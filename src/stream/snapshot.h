@@ -145,6 +145,9 @@ class EpochSnapshot {
   [[nodiscard]] const std::vector<std::shared_ptr<const Segment>>& segments() const noexcept {
     return segments_;
   }
+  // The segments' frames in epoch order: the corpus as the frame list
+  // core::ExperimentResult::bind_segments takes.
+  [[nodiscard]] std::vector<const capture::SessionFrame*> frames() const;
 
  private:
   std::uint64_t epoch_ = 0;

@@ -11,7 +11,7 @@
 
 #include "analysis/table_cache.h"
 #include "core/experiment.h"
-#include "stream/ingest.h"
+#include "stream/seal.h"
 
 namespace cw::stream {
 namespace {
@@ -23,7 +23,6 @@ namespace {
 struct SpillContext {
   EpochSnapshot snapshot;
   std::unique_ptr<analysis::SegmentedTableCache> segmented;
-  std::vector<const capture::SessionFrame*> frames;
   std::string dir;
 
   // Refcounted pager state: concurrent merged-table builds (different keys,
@@ -53,74 +52,23 @@ runner::SimRunner make_spill_sim_runner(SpillSimOptions options, runner::ThreadP
     std::snprintf(sub, sizeof(sub), "/sim-%016llx",
                   static_cast<unsigned long long>(config.seed));
     context->dir = options.spill_dir + sub;
-    std::error_code ec;
-    std::filesystem::create_directories(context->dir, ec);
-    if (ec) throw std::runtime_error("spill runner: cannot create " + context->dir);
 
-    const std::size_t epochs = options.epochs == 0 ? 1 : options.epochs;
     core::LiveExperiment live(config);
-    IngestShards ingest(options.shards);
-    live.collector().set_store_sink(
-        [&ingest](const capture::SessionRecord& record, std::string_view payload,
-                  const std::optional<proto::Credential>& credential) {
-          ingest.append(ingest.shard_of(record), record, payload, credential);
-        });
-
-    const analysis::MaliciousClassifier& classifier = live.result().classifier();
-    const VerdictFactory verdict = [&classifier](const capture::EventStore& store) {
-      return [&classifier, &store](const capture::SessionRecord& record) {
-        switch (classifier.classify(record, store)) {
-          case analysis::MeasuredIntent::kMalicious:
-            return capture::SessionFrame::Verdict::kMalicious;
-          case analysis::MeasuredIntent::kBenign: return capture::SessionFrame::Verdict::kBenign;
-          case analysis::MeasuredIntent::kUnobservable: break;
-        }
-        return capture::SessionFrame::Verdict::kUnobservable;
-      };
-    };
-    context->segmented = std::make_unique<analysis::SegmentedTableCache>(classifier);
-
-    EpochSnapshot snapshot;
-    for (std::size_t k = 1; k <= epochs; ++k) {
-      const util::SimTime boundary = static_cast<util::SimTime>(
-          (static_cast<unsigned long long>(config.duration) * k) / epochs);
-      live.advance_to(k == epochs ? config.duration : boundary);
-      // Classifier verdicts are pure in (credential presence, payload id,
-      // port, transport); see LiveReport.
-      snapshot = ingest.seal_epoch(live.result().deployment(), verdict, pool,
-                                   /*verdict_pure=*/true);
-      context->segmented->add_segment(snapshot.segments().back()->frame());
-
-      // Demote everything but the newest hot_segments. No cumulative replica
-      // exists in this runner — resident state is exactly the hot tail.
-      const auto& segments = snapshot.segments();
-      const std::size_t cold =
-          segments.size() > options.hot_segments ? segments.size() - options.hot_segments : 0;
-      for (std::size_t i = 0; i < cold; ++i) {
-        const Segment& old = *segments[i];
-        if (old.spilled()) continue;
-        std::string error;
-        if (!old.spill(context->dir, &error)) {
-          throw std::runtime_error("spill runner: " + error);
-        }
-        old.release_mapping();
-      }
-    }
-    context->snapshot = snapshot;
-
-    // The sink captures the local `ingest`; drop it before the collector
-    // outlives this frame inside the returned result.
-    live.collector().set_store_sink({});
+    context->segmented =
+        std::make_unique<analysis::SegmentedTableCache>(live.result().classifier());
+    SealOptions seal;
+    seal.epochs = options.epochs;
+    seal.shards = options.shards;
+    seal.spill_dir = context->dir;
+    seal.hot_segments = options.hot_segments;
+    context->snapshot = seal_epochs(live, seal, *context->segmented, pool);
 
     runner::SimHandle handle;
     handle.context = context;
     handle.result = live.take();
-    handle.records = snapshot.size();
+    handle.records = context->snapshot.size();
     handle.events = handle.result->events_processed();
-
-    context->frames.reserve(snapshot.segments().size());
-    for (const auto& segment : snapshot.segments()) context->frames.push_back(&segment->frame());
-    context->pin_counts.assign(context->frames.size(), 0);
+    context->pin_counts.assign(context->snapshot.segments().size(), 0);
 
     // Raw pointer on purpose: the pager is stored inside context->segmented
     // and the result (both outlived by the context); a shared_ptr capture
@@ -142,8 +90,8 @@ runner::SimRunner make_spill_sim_runner(SpillSimOptions options, runner::ThreadP
       }
     };
     context->segmented->set_segment_pager(pager);
-    handle.result->rebind_store(nullptr, context->segmented.get());
-    handle.result->bind_segment_frames(context->frames, std::move(pager));
+    handle.result->bind_segments(context->snapshot.frames(), context->segmented.get(),
+                                 std::move(pager));
     return handle;
   };
 }

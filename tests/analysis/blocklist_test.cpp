@@ -5,6 +5,7 @@
 #include "ids/ruleset.h"
 #include "proto/exploits.h"
 #include "proto/payloads.h"
+#include "support/row_scan.h"
 
 namespace cw::analysis {
 namespace {
@@ -41,6 +42,9 @@ class BlocklistTest : public ::testing::Test {
     }
   }
 
+  // The store as the frame the evaluation reads, verdicts from classifier_.
+  capture::SessionFrame frame() { return rowscan::frame_of(store_, deployment_, &classifier_); }
+
   topology::Deployment deployment_;
   capture::EventStore store_;
   ids::RuleEngine engine_;
@@ -51,7 +55,7 @@ TEST_F(BlocklistTest, SelfEvaluationIsComplete) {
   add(0, 1, true);
   add(0, 2, true);
   add(0, 3, false);
-  const auto evaluation = evaluate_blocklist(store_, classifier_, {0}, {0}, "us", "us");
+  const auto evaluation = evaluate_blocklist(frame(), {0}, {0}, "us", "us");
   EXPECT_EQ(evaluation.blocklist_size, 2u);
   EXPECT_EQ(evaluation.target_attacker_ips, 2u);
   EXPECT_DOUBLE_EQ(evaluation.ip_coverage(), 1.0);
@@ -65,7 +69,7 @@ TEST_F(BlocklistTest, CrossGroupCoverageCountsSharedAttackers) {
   add(0, 2, true);
   add(2, 1, true);
   add(2, 3, true);
-  const auto evaluation = evaluate_blocklist(store_, classifier_, {0}, {2}, "us", "sg");
+  const auto evaluation = evaluate_blocklist(frame(), {0}, {2}, "us", "sg");
   EXPECT_EQ(evaluation.blocklist_size, 2u);
   EXPECT_EQ(evaluation.target_attacker_ips, 2u);
   EXPECT_EQ(evaluation.covered_ips, 1u);
@@ -75,7 +79,7 @@ TEST_F(BlocklistTest, CrossGroupCoverageCountsSharedAttackers) {
 TEST_F(BlocklistTest, BenignSourcesNeverEnterTheList) {
   add(0, 7, false);
   add(2, 7, true);
-  const auto evaluation = evaluate_blocklist(store_, classifier_, {0}, {2}, "us", "sg");
+  const auto evaluation = evaluate_blocklist(frame(), {0}, {2}, "us", "sg");
   EXPECT_EQ(evaluation.blocklist_size, 0u);
   EXPECT_EQ(evaluation.covered_ips, 0u);
   EXPECT_DOUBLE_EQ(evaluation.ip_coverage(), 0.0);
@@ -88,7 +92,7 @@ TEST_F(BlocklistTest, EventCoverageWeighsVolume) {
   add(2, 1, true);
   add(2, 1, true);
   add(2, 9, true);
-  const auto evaluation = evaluate_blocklist(store_, classifier_, {0}, {2}, "us", "sg");
+  const auto evaluation = evaluate_blocklist(frame(), {0}, {2}, "us", "sg");
   EXPECT_EQ(evaluation.target_malicious_events, 4u);
   EXPECT_EQ(evaluation.blocked_events, 3u);
   EXPECT_DOUBLE_EQ(evaluation.event_coverage(), 0.75);
@@ -96,7 +100,7 @@ TEST_F(BlocklistTest, EventCoverageWeighsVolume) {
 
 TEST_F(BlocklistTest, EmptyTargetYieldsZeroCoverage) {
   add(0, 1, true);
-  const auto evaluation = evaluate_blocklist(store_, classifier_, {0}, {3}, "us", "de");
+  const auto evaluation = evaluate_blocklist(frame(), {0}, {3}, "us", "de");
   EXPECT_DOUBLE_EQ(evaluation.ip_coverage(), 0.0);
   EXPECT_DOUBLE_EQ(evaluation.event_coverage(), 0.0);
 }
@@ -105,7 +109,7 @@ TEST_F(BlocklistTest, RegionalMatrixCoversAllGroupPairs) {
   add(0, 1, true);
   add(2, 1, true);
   add(3, 2, true);
-  const auto matrix = regional_blocklist_matrix(store_, deployment_, classifier_);
+  const auto matrix = regional_blocklist_matrix(frame());
   // Groups present: US, AP, EU -> 9 evaluations.
   EXPECT_EQ(matrix.size(), 9u);
   // Diagonal entries are complete by construction.

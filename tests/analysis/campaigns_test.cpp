@@ -4,12 +4,24 @@
 
 #include "proto/exploits.h"
 #include "proto/payloads.h"
+#include "support/row_scan.h"
 
 namespace cw::analysis {
 namespace {
 
 class CampaignsTest : public ::testing::Test {
  protected:
+  CampaignsTest() {
+    topology::VantagePoint honeytrap;  // vantage 0, where every record lands
+    honeytrap.name = "ht";
+    honeytrap.provider = topology::Provider::kStanford;
+    honeytrap.type = topology::NetworkType::kEducation;
+    honeytrap.collection = topology::CollectionMethod::kHoneytrap;
+    honeytrap.region = net::make_region("US", "CA");
+    honeytrap.addresses = {net::IPv4Addr(171, 64, 0, 1)};
+    deployment_.add(std::move(honeytrap));
+  }
+
   void add(util::SimTime time, std::uint32_t src, capture::ActorId actor, std::string payload,
            net::Port port = 80) {
     capture::SessionRecord record;
@@ -21,6 +33,15 @@ class CampaignsTest : public ::testing::Test {
     store_.append(record, payload, std::nullopt);
   }
 
+  // The shipped inference and validation over a frame of the store.
+  std::vector<InferredCampaign> infer(const CampaignInferenceOptions& options = {}) {
+    return infer_campaigns(rowscan::frame_of(store_, deployment_), options);
+  }
+  CampaignValidation validate(const std::vector<InferredCampaign>& campaigns) {
+    return validate_campaigns(rowscan::frame_of(store_, deployment_), campaigns);
+  }
+
+  topology::Deployment deployment_;
   capture::EventStore store_;
 };
 
@@ -29,7 +50,7 @@ TEST_F(CampaignsTest, ClustersMultiSourceCampaign) {
   for (std::uint32_t src = 1; src <= 5; ++src) {
     add(src * util::kHour, src, /*actor=*/42, payload);
   }
-  const auto campaigns = infer_campaigns(store_);
+  const auto campaigns = infer();
   ASSERT_EQ(campaigns.size(), 1u);
   EXPECT_EQ(campaigns[0].sources.size(), 5u);
   EXPECT_EQ(campaigns[0].events, 5u);
@@ -41,7 +62,7 @@ TEST_F(CampaignsTest, ClustersMultiSourceCampaign) {
 TEST_F(CampaignsTest, SingletonSourcesAreNotCampaigns) {
   add(0, 1, 1, proto::exploit_payload(proto::ExploitKind::kGponRce, 1));
   add(1000, 2, 2, proto::exploit_payload(proto::ExploitKind::kThinkPhpRce, 2));
-  EXPECT_TRUE(infer_campaigns(store_).empty());
+  EXPECT_TRUE(infer().empty());
 }
 
 TEST_F(CampaignsTest, HostHeaderDifferencesCollapseViaNormalization) {
@@ -50,7 +71,7 @@ TEST_F(CampaignsTest, HostHeaderDifferencesCollapseViaNormalization) {
     add(src * util::kMinute, src, 9,
         "POST /api HTTP/1.1\r\nHost: 3.0.0." + std::to_string(src) + "\r\n\r\nexploit");
   }
-  const auto campaigns = infer_campaigns(store_);
+  const auto campaigns = infer();
   ASSERT_EQ(campaigns.size(), 1u);
   EXPECT_EQ(campaigns[0].sources.size(), 4u);
 }
@@ -64,7 +85,7 @@ TEST_F(CampaignsTest, QuietGapSplitsCampaign) {
   }
   CampaignInferenceOptions options;
   options.max_gap = 2 * util::kDay;
-  const auto campaigns = infer_campaigns(store_, options);
+  const auto campaigns = infer(options);
   EXPECT_EQ(campaigns.size(), 2u);
 }
 
@@ -76,7 +97,7 @@ TEST_F(CampaignsTest, TelescopeRecordsAreIgnored) {
     record.port = 445;
     store_.append(record, {}, std::nullopt);
   }
-  EXPECT_TRUE(infer_campaigns(store_).empty());
+  EXPECT_TRUE(infer().empty());
 }
 
 TEST_F(CampaignsTest, ValidationMeasuresPurityAndRecall) {
@@ -89,8 +110,8 @@ TEST_F(CampaignsTest, ValidationMeasuresPurityAndRecall) {
   // A shared-payload confusion: actor 3's source reuses campaign A's bytes.
   add(100, 99, 3, payload_a);
 
-  const auto campaigns = infer_campaigns(store_);
-  const auto validation = validate_campaigns(store_, campaigns);
+  const auto campaigns = infer();
+  const auto validation = validate(campaigns);
   EXPECT_EQ(validation.inferred, 2u);
   EXPECT_EQ(validation.true_campaigns, 2u);
   // Campaign A's cluster contains actor 3's source: impure. B is pure.
@@ -105,7 +126,7 @@ TEST_F(CampaignsTest, CampaignsSortByVolume) {
   const std::string small = proto::exploit_payload(proto::ExploitKind::kGponRce, 2);
   for (std::uint32_t src = 1; src <= 3; ++src) add(src, src, 1, small);
   for (std::uint32_t src = 11; src <= 20; ++src) add(src, src, 2, big);
-  const auto campaigns = infer_campaigns(store_);
+  const auto campaigns = infer();
   ASSERT_EQ(campaigns.size(), 2u);
   EXPECT_GT(campaigns[0].events, campaigns[1].events);
 }

@@ -158,7 +158,7 @@ TEST(FrameEquivalence, ProtocolBreakdownMatches) {
   ProtocolOptions options;
   options.oracle = &result.oracle();
   const auto a = rowscan::protocol_breakdown(result.store(), result.deployment(), options);
-  const auto b = protocol_breakdown(result.frame(), options);
+  const auto b = protocol_breakdown(result.frames(), options);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].port, b[i].port);
@@ -209,7 +209,7 @@ TEST(FrameEquivalence, CompareVantagePairsMatchesSequentialAndSharded) {
 
 TEST(FrameEquivalence, CampaignInferenceMatches) {
   const auto& result = experiment();
-  const auto a = infer_campaigns(result.store());
+  const auto a = rowscan::infer_campaigns(result.store());
   const auto b = infer_campaigns(result.frame());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -220,7 +220,7 @@ TEST(FrameEquivalence, CampaignInferenceMatches) {
     EXPECT_EQ(a[i].last_seen, b[i].last_seen);
     EXPECT_EQ(a[i].dominant_port, b[i].dominant_port);
   }
-  const CampaignValidation va = validate_campaigns(result.store(), a);
+  const CampaignValidation va = rowscan::validate_campaigns(result.store(), a);
   const CampaignValidation vb = validate_campaigns(result.frame(), b);
   EXPECT_EQ(va.inferred, vb.inferred);
   EXPECT_EQ(va.pure, vb.pure);
@@ -232,7 +232,7 @@ TEST(FrameEquivalence, TelescopeAddressCountsMatch) {
   const auto& result = experiment();
   for (const net::Port port : {net::Port{23}, net::Port{80}}) {
     EXPECT_EQ(rowscan::telescope_address_counts(result.store(), result.deployment(), port),
-              telescope_address_counts(result.frame(), port));
+              telescope_address_counts(result.frames(), port));
   }
 }
 

@@ -43,7 +43,8 @@ class ProtocolsTest : public ::testing::Test {
 
   // The shipped breakdown over a frame of the store built above.
   std::vector<ProtocolBreakdownRow> breakdown(const ProtocolOptions& options) {
-    return protocol_breakdown(rowscan::frame_of(store_, deployment_), options);
+    const capture::SessionFrame frame = rowscan::frame_of(store_, deployment_);
+    return protocol_breakdown({&frame}, options);
   }
 
   topology::Deployment deployment_;

@@ -37,7 +37,8 @@ TEST(TelescopeAddressCounts, CountsUniqueSourcesPerAddress) {
   hit(5, 101);
   hit(9, 100);
 
-  const auto counts = telescope_address_counts(rowscan::frame_of(store, deployment), 445);
+  const capture::SessionFrame frame = rowscan::frame_of(store, deployment);
+  const auto counts = telescope_address_counts({&frame}, 445);
   ASSERT_EQ(counts.size(), 256u);
   EXPECT_DOUBLE_EQ(counts[5], 2.0);
   EXPECT_DOUBLE_EQ(counts[9], 1.0);
@@ -54,8 +55,8 @@ TEST(TelescopeAddressCounts, FiltersByPort) {
   record.src = 1;
   store.append(record, {}, std::nullopt);
   const capture::SessionFrame frame = rowscan::frame_of(store, deployment);
-  EXPECT_DOUBLE_EQ(telescope_address_counts(frame, 80)[3], 1.0);
-  EXPECT_DOUBLE_EQ(telescope_address_counts(frame, 22)[3], 0.0);
+  EXPECT_DOUBLE_EQ(telescope_address_counts({&frame}, 80)[3], 1.0);
+  EXPECT_DOUBLE_EQ(telescope_address_counts({&frame}, 22)[3], 0.0);
 }
 
 TEST(StructureStats, ClassMeansAndRatios) {

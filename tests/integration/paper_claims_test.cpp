@@ -144,7 +144,7 @@ TEST_F(PaperClaims, AwsAustraliaTelnetUsernames) {
 TEST_F(PaperClaims, UnexpectedProtocolsOnHttpPorts) {
   analysis::ProtocolOptions options;
   options.oracle = &r().oracle();
-  const auto rows = analysis::protocol_breakdown(r().frame(), options);
+  const auto rows = analysis::protocol_breakdown(r().frames(), options);
   ASSERT_EQ(rows.size(), 2u);
   for (const auto& row : rows) {
     EXPECT_GE(row.pct_unexpected, 10.0) << row.port;
@@ -155,7 +155,7 @@ TEST_F(PaperClaims, UnexpectedProtocolsOnHttpPorts) {
 
 // Section 4.2 / Figure 1b: scanners avoid .255 addresses on port 445.
 TEST_F(PaperClaims, BroadcastAvoidanceOnSmb) {
-  const auto counts = analysis::telescope_address_counts(r().frame(), 445);
+  const auto counts = analysis::telescope_address_counts(r().frames(), 445);
   ASSERT_FALSE(counts.empty());
   const topology::VantagePoint* telescope = nullptr;
   for (const auto& vp : r().deployment().vantage_points()) {
@@ -168,7 +168,7 @@ TEST_F(PaperClaims, BroadcastAvoidanceOnSmb) {
 // Section 4.2 / Figure 1a: the first address of a /16 is over-targeted on
 // port 22.
 TEST_F(PaperClaims, FirstOfSlash16PreferenceOnSsh) {
-  const auto counts = analysis::telescope_address_counts(r().frame(), 22);
+  const auto counts = analysis::telescope_address_counts(r().frames(), 22);
   ASSERT_FALSE(counts.empty());
   const topology::VantagePoint* telescope = nullptr;
   for (const auto& vp : r().deployment().vantage_points()) {

@@ -23,8 +23,8 @@
 #include "runner/fleet.h"
 #include "runner/sweep.h"
 #include "runner/thread_pool.h"
-#include "stream/ingest.h"
 #include "stream/live_report.h"
+#include "stream/seal.h"
 #include "stream/snapshot.h"
 #include "stream/spill_runner.h"
 
@@ -47,36 +47,13 @@ std::string scratch_dir(const char* name) {
   return dir;
 }
 
-// Seals the tiny experiment into `epochs` segments through the live ingest
-// path — the exact seal the production tiering demotes.
-EpochSnapshot seal_epochs(core::LiveExperiment& live, std::size_t epochs) {
-  IngestShards ingest(4);
-  live.collector().set_store_sink(
-      [&ingest](const capture::SessionRecord& record, std::string_view payload,
-                const std::optional<proto::Credential>& credential) {
-        ingest.append(ingest.shard_of(record), record, payload, credential);
-      });
-  const analysis::MaliciousClassifier& classifier = live.result().classifier();
-  const VerdictFactory verdict = [&classifier](const capture::EventStore& store) {
-    return [&classifier, &store](const capture::SessionRecord& record) {
-      switch (classifier.classify(record, store)) {
-        case analysis::MeasuredIntent::kMalicious:
-          return capture::SessionFrame::Verdict::kMalicious;
-        case analysis::MeasuredIntent::kBenign: return capture::SessionFrame::Verdict::kBenign;
-        case analysis::MeasuredIntent::kUnobservable: break;
-      }
-      return capture::SessionFrame::Verdict::kUnobservable;
-    };
-  };
-  const core::ExperimentConfig config = tiny_config();
-  EpochSnapshot snapshot;
-  for (std::size_t k = 1; k <= epochs; ++k) {
-    live.advance_to(config.duration * k / epochs);
-    snapshot = ingest.seal_epoch(live.result().deployment(), verdict, nullptr,
-                                 /*verdict_pure=*/true);
-  }
-  live.collector().set_store_sink({});
-  return snapshot;
+// Seals the tiny experiment into `epochs` segments through the shipped
+// sealing loop — the exact seal the production tiering demotes.
+EpochSnapshot sealed_snapshot(core::LiveExperiment& live, std::size_t epochs) {
+  analysis::SegmentedTableCache cache(live.result().classifier());
+  SealOptions seal;
+  seal.epochs = epochs;
+  return seal_epochs(live, seal, cache, nullptr);
 }
 
 // A digest of everything the analysis layer reads from a frame: per-port and
@@ -129,7 +106,7 @@ FrameDigest digest(const capture::SessionFrame& frame) {
 TEST(SegmentSpill, QueriesIdenticalAcrossSpillAndRemapCycles) {
   const std::string dir = scratch_dir("spill");
   core::LiveExperiment live(tiny_config());
-  const EpochSnapshot snapshot = seal_epochs(live, 3);
+  const EpochSnapshot snapshot = sealed_snapshot(live, 3);
   ASSERT_EQ(snapshot.segments().size(), 3u);
   ASSERT_GT(snapshot.size(), 0u);
 
@@ -160,7 +137,7 @@ TEST(SegmentSpill, QueriesIdenticalAcrossSpillAndRemapCycles) {
 TEST(SegmentSpill, LoadSpilledReconstructsTheSealedSegment) {
   const std::string dir = scratch_dir("restart");
   core::LiveExperiment live(tiny_config());
-  const EpochSnapshot snapshot = seal_epochs(live, 2);
+  const EpochSnapshot snapshot = sealed_snapshot(live, 2);
   const Segment& original = *snapshot.segments().back();
   const FrameDigest hot = digest(original.frame());
 

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/table_cache.h"
@@ -21,6 +22,7 @@
 #include "runner/report.h"
 #include "runner/thread_pool.h"
 #include "stream/live_report.h"
+#include "stream/seal.h"
 
 namespace cw::stream {
 namespace {
@@ -89,15 +91,7 @@ TEST_P(SegmentedCacheSlicing, MatchesColdWholeCorpusCacheEverywhere) {
     stores.push_back(std::make_unique<capture::EventStore>(slice_store(corpus, begin, end)));
     const capture::EventStore& store = *stores.back();
     capture::SessionFrame::BuildOptions options;
-    options.verdict = [&classifier, &store](const capture::SessionRecord& record) {
-      switch (classifier.classify(record, store)) {
-        case analysis::MeasuredIntent::kMalicious:
-          return capture::SessionFrame::Verdict::kMalicious;
-        case analysis::MeasuredIntent::kBenign: return capture::SessionFrame::Verdict::kBenign;
-        case analysis::MeasuredIntent::kUnobservable: break;
-      }
-      return capture::SessionFrame::Verdict::kUnobservable;
-    };
+    options.verdict = analysis::frame_verdict(classifier, store);
     frames.push_back(std::make_unique<capture::SessionFrame>(
         capture::SessionFrame::build(store, result.deployment(), std::move(options))));
     segmented.add_segment(*frames.back());
@@ -243,10 +237,36 @@ TEST(LiveReportEquivalence, IntermediateEpochsRenderAndGrow) {
     EXPECT_TRUE(reports[k].rendered);
     EXPECT_FALSE(reports[k].failed);
     EXPECT_EQ(reports[k].records_total, previous_total + reports[k].records_new);
+    EXPECT_EQ(reports[k].records_total, reports[k].snapshot.size());
     previous_total = reports[k].records_total;
     EXPECT_FALSE(reports[k].outputs.empty());
   }
   EXPECT_EQ(reports.back().now, tiny_config().duration);
+}
+
+TEST(SegmentBoundResult, ReadsOnlyTheSegmentList) {
+  core::LiveExperiment live(tiny_config());
+  core::ExperimentResult& result = live.result();
+  analysis::SegmentedTableCache segmented(result.classifier());
+  SealOptions seal;
+  seal.epochs = 2;
+  seal.shards = 2;
+  const EpochSnapshot snapshot = seal_epochs(live, seal, segmented, nullptr);
+  result.bind_segments(snapshot.frames(), &segmented, {});
+
+  // The capture went to the segments; the collector's store never saw it,
+  // so projecting it would silently render an empty corpus.
+  EXPECT_EQ(result.store().size(), 0u);
+  ASSERT_GT(snapshot.size(), 0u);
+  EXPECT_THROW(static_cast<void>(result.frame()), std::logic_error);
+  EXPECT_EQ(result.frames().size(), 2u);
+  EXPECT_EQ(&result.table_cache(), &segmented);
+
+  runner::ReportOptions options;
+  options.include_leak = false;
+  for (const runner::Pipeline& pipeline : runner::paper_report_pipelines(result, options)) {
+    EXPECT_EQ(pipeline.events, snapshot.size()) << pipeline.name;
+  }
 }
 
 }  // namespace

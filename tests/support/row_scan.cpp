@@ -1,7 +1,11 @@
 #include "support/row_scan.h"
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "proto/fingerprint.h"
@@ -264,19 +268,103 @@ std::vector<double> telescope_address_counts(const capture::EventStore& store,
   return counts;
 }
 
+namespace {
+
+struct Observation {
+  util::SimTime time;
+  std::uint32_t src;
+  net::Port port;
+};
+
+}  // namespace
+
+std::vector<analysis::InferredCampaign> infer_campaigns(
+    const capture::EventStore& store, const analysis::CampaignInferenceOptions& options) {
+  std::unordered_map<std::string, std::vector<Observation>> by_signature;
+  for (const capture::SessionRecord& record : store.records()) {
+    if (record.payload_id == capture::kNoPayload) continue;
+    const std::string signature = proto::normalize_http_payload(store.payload(record.payload_id));
+    if (signature.empty()) continue;
+    by_signature[signature].push_back({record.time, record.src, record.port});
+  }
+
+  std::vector<analysis::InferredCampaign> campaigns;
+  for (auto& [signature, observations] : by_signature) {
+    std::sort(observations.begin(), observations.end(),
+              [](const Observation& a, const Observation& b) { return a.time < b.time; });
+    std::size_t start = 0;
+    for (std::size_t i = 1; i <= observations.size(); ++i) {
+      if (i < observations.size() &&
+          observations[i].time - observations[i - 1].time <= options.max_gap) {
+        continue;
+      }
+      std::set<std::uint32_t> sources;
+      std::map<net::Port, std::uint64_t> per_port;
+      for (std::size_t j = start; j < i; ++j) {
+        sources.insert(observations[j].src);
+        ++per_port[observations[j].port];
+      }
+      if (sources.size() >= options.min_sources) {
+        analysis::InferredCampaign campaign;
+        campaign.signature = signature;
+        campaign.sources.assign(sources.begin(), sources.end());
+        campaign.events = i - start;
+        campaign.first_seen = observations[start].time;
+        campaign.last_seen = observations[i - 1].time;
+        campaign.dominant_port =
+            std::max_element(per_port.begin(), per_port.end(), [](const auto& a, const auto& b) {
+              return a.second < b.second;
+            })->first;
+        campaigns.push_back(std::move(campaign));
+      }
+      start = i;
+    }
+  }
+  std::sort(campaigns.begin(), campaigns.end(),
+            [](const analysis::InferredCampaign& a, const analysis::InferredCampaign& b) {
+              if (a.events != b.events) return a.events > b.events;
+              return a.signature < b.signature;
+            });
+  return campaigns;
+}
+
+analysis::CampaignValidation validate_campaigns(
+    const capture::EventStore& store, const std::vector<analysis::InferredCampaign>& campaigns,
+    const analysis::CampaignInferenceOptions& options) {
+  analysis::CampaignValidation validation;
+  validation.inferred = campaigns.size();
+  std::unordered_map<std::uint32_t, capture::ActorId> actor_of;
+  std::map<capture::ActorId, std::set<std::uint32_t>> sources_of;
+  for (const capture::SessionRecord& record : store.records()) {
+    actor_of[record.src] = record.actor;
+    sources_of[record.actor].insert(record.src);
+  }
+  std::set<capture::ActorId> true_campaigns;
+  for (const auto& [actor, sources] : sources_of) {
+    if (sources.size() >= options.min_sources) true_campaigns.insert(actor);
+  }
+  validation.true_campaigns = true_campaigns.size();
+  std::set<capture::ActorId> recovered;
+  for (const analysis::InferredCampaign& campaign : campaigns) {
+    std::set<capture::ActorId> actors;
+    for (const std::uint32_t src : campaign.sources) {
+      const auto it = actor_of.find(src);
+      if (it != actor_of.end()) actors.insert(it->second);
+    }
+    if (actors.size() != 1) continue;
+    ++validation.pure;
+    if (true_campaigns.contains(*actors.begin())) recovered.insert(*actors.begin());
+  }
+  validation.recovered = recovered.size();
+  return validation;
+}
+
 capture::SessionFrame frame_of(const capture::EventStore& store,
                                const topology::Deployment& deployment,
                                const analysis::MaliciousClassifier* classifier) {
   capture::SessionFrame::BuildOptions options;
   if (classifier != nullptr) {
-    options.verdict = [classifier, &store](const capture::SessionRecord& record) {
-      switch (classifier->classify(record, store)) {
-        case analysis::MeasuredIntent::kMalicious: return capture::SessionFrame::Verdict::kMalicious;
-        case analysis::MeasuredIntent::kBenign: return capture::SessionFrame::Verdict::kBenign;
-        case analysis::MeasuredIntent::kUnobservable: break;
-      }
-      return capture::SessionFrame::Verdict::kUnobservable;
-    };
+    options.verdict = analysis::frame_verdict(*classifier, store);
   }
   return capture::SessionFrame::build(store, deployment, std::move(options));
 }

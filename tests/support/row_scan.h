@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/campaigns.h"
 #include "analysis/overlap.h"
 #include "analysis/protocols.h"
 #include "analysis/table_cache.h"
@@ -103,6 +104,14 @@ std::vector<analysis::ProtocolBreakdownRow> protocol_breakdown(
 std::vector<double> telescope_address_counts(const capture::EventStore& store,
                                              const topology::Deployment& deployment,
                                              net::Port port);
+
+// Campaign inference and its ground-truth validation, normalizing every
+// record's payload on the spot.
+std::vector<analysis::InferredCampaign> infer_campaigns(
+    const capture::EventStore& store, const analysis::CampaignInferenceOptions& options = {});
+analysis::CampaignValidation validate_campaigns(
+    const capture::EventStore& store, const std::vector<analysis::InferredCampaign>& campaigns,
+    const analysis::CampaignInferenceOptions& options = {});
 
 // A frame over a hand-built store. With a classifier, the verdict column is
 // wired to it the way core::ExperimentResult::frame wires the run's own.
